@@ -8,7 +8,7 @@ approximations that converge in Sobolev norms by projecting the traces
 (Legendre or step-function basis) instead of the function itself.
 """
 
-from .analytic import AnalyticFunction, TraceBundle, available_examples, get_example
+from .analytic import AnalyticFunction, available_examples, get_example
 from .bench import FIGURES, SweepResult, fit_slope, run_sweep, sweep_point
 from .core import (
     FaceSpec,
@@ -33,7 +33,6 @@ from .legseries import LegendreSeries, legendre_eval, legendre_values
 from .piecewise import PiecewisePoly, coeff_distance
 from .projection import (
     CellGrid,
-    LegendreReconstruction,
     kappa,
     project_legendre,
     project_step,
@@ -64,14 +63,12 @@ __all__ = [
     "FIGURES",
     "FaceSpec",
     "HyperRect",
-    "LegendreReconstruction",
     "LegendreSeries",
     "MultiIndex",
     "PiecewisePoly",
     "PolyTraceBundle",
     "QuadratureRule",
     "SweepResult",
-    "TraceBundle",
     "TraceFunction",
     "active_axes",
     "apply_tensor",

@@ -119,31 +119,6 @@ class AnalyticFunction:
 
         return TraceFunction(face, pinned)
 
-    def extract_traces(self, order=None) -> "TraceBundle":
-        order = self.delta if order is None else as_multiindex(order, ndim=self.domain.ndim)
-        entries = {a: self.boundary_trace(a, order) for a in multiindex_range(order)}
-        return TraceBundle(order, entries)
-
-
-@dataclass(frozen=True)
-class TraceBundle:
-    """Boundary traces of an analytic target, one per lattice index."""
-
-    order: MultiIndex
-    entries: Mapping[MultiIndex, TraceFunction]
-
-    def __post_init__(self):
-        order = as_multiindex(self.order)
-        object.__setattr__(self, "order", order)
-        lattice = multiindex_range(order)
-        entries = dict(self.entries)
-        if set(entries) != set(lattice):
-            raise ValueError("bundle must cover exactly the lattice 0 <= alpha <= order")
-        for alpha in lattice:
-            if entries[alpha].face != face_spec(alpha, order):
-                raise ValueError(f"entry {alpha} sits on the wrong face")
-        object.__setattr__(self, "entries", entries)
-
 
 def finite_difference_error(u: AnalyticFunction, alpha, axis: int, points,
                             h: float = 1e-4) -> float:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,18 +20,8 @@ import numpy as np
 from .analytic import AnalyticFunction
 from .core import MultiIndex, as_multiindex, multiindex_range
 from .projection import cell_edges, sobolev_project_legendre, sobolev_project_step
-from .quadrature import (
-    QuadratureRule,
-    _check_finite,
-    _contract,
-    _deriv_values,
-    grid_quadrature,
-    norm_index_set,
-    rule_for,
-)
+from .quadrature import QuadratureRule, error_components, norm_index_set, rule_for
 from .verify import CheckResult
-
-THREADS_ENV = "SOBOLEV_RECON_THREADS"
 
 
 @dataclass
@@ -69,37 +57,10 @@ class SweepResult:
         return col[-1] / col[0]
 
 
-def _workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    n = _workers()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
-def _error_components(u, approx, order, rule) -> dict:
-    """Squared derivative-error integrals for every alpha <= order."""
-    axes, weights = grid_quadrature(u.domain, rule)
-    components = {}
-    for alpha in multiindex_range(order):
-        diff = _deriv_values(u, alpha, axes) - _deriv_values(approx, alpha, axes)
-        _check_finite(diff, axes)
-        components[alpha] = _contract(diff * diff, weights)
-    return components
-
-
 def error_norms(u: AnalyticFunction, approx, order, rule) -> tuple[float, float, float]:
     """(L2, mixed-order, isotropic) error norms in one quadrature pass."""
     order = as_multiindex(order, ndim=u.domain.ndim)
-    comp = _error_components(u, approx, order, rule)
+    comp = error_components(u, approx, multiindex_range(order), u.domain, rule)
     zero = (0,) * u.domain.ndim
     simplex = set(norm_index_set(order, "isotropic"))
     l2 = math.sqrt(max(comp[zero], 0.0))
@@ -153,19 +114,14 @@ def run_sweep(u: AnalyticFunction, method: str, gamma, params,
     if any(b >= a for a, b in zip(params[1:], params[:-1])):
         raise ValueError("parameter values must increase strictly")
 
-    def one(param):
-        try:
-            return sweep_point(u, method, gamma, param, norm_order, nodes, panels,
-                               grade_ratio)
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            return exc
-
-    rows = _map(one, params)
     result = SweepResult(example_name or u.name, method, gamma, params,
                          [], [], [], [])
-    for param, row in zip(params, rows):
-        if isinstance(row, Exception):
-            result.failures.append((param, str(row)))
+    for param in params:
+        try:
+            row = sweep_point(u, method, gamma, param, norm_order, nodes, panels,
+                              grade_ratio)
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            result.failures.append((param, str(exc)))
             row = (math.nan, math.nan, math.nan, math.nan)
         l2, s, w, dt = row
         result.l2.append(l2)

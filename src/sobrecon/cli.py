@@ -2,7 +2,6 @@
 expansions, and run free-form sweeps.
 
 Exit code 0 means every checked criterion passed, so CI can gate on it.
-The SOBOLEV_RECON_THREADS environment variable caps the sweep worker pool.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ the identity (order 0 of 0), multiplication by the kernel z^k/k! (below top
 order), or a Volterra integral with kernel z^(k-1)/(k-1)! (at top order),
 which for polynomial inputs reduces to repeated exact antidifferentiation.
 
-Trace functions are carried as PiecewisePoly values on the full domain,
-constant along their face-inactive axes (the constant extension the tensor
-operators act on).
+Trace functions are carried on the full domain, constant along their
+face-inactive axes (the constant extension the tensor operators act on), as
+PiecewisePoly values or as LegendreSeries on the standard hypercube.  Both
+supply the two calculus maps the operators need, multiply_kernel and
+antiderivative, so one reconstruction serves both representations.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ from .core import (
     face_spec,
     multiindex_range,
 )
-from .piecewise import PiecewisePoly, _powers
+from .legseries import LegendreSeries
+from .piecewise import PiecewisePoly
+
+
+Trace = PiecewisePoly | LegendreSeries
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,12 @@ class AxisOperator:
             return "multiplier"
         return "volterra" if self.top > 0 else "identity"
 
-    def __call__(self, f: PiecewisePoly) -> PiecewisePoly:
+    def __call__(self, f: Trace) -> Trace:
         mode = self.mode
         if mode == "identity":
             return f
         if mode == "multiplier":
-            return PiecewisePoly.kernel(f.domain, self.axis, self.order) * f
+            return f.multiply_kernel(self.axis, self.order)
         out = f
         for _ in range(self.order):  # Cauchy repeated integration
             out = out.antiderivative(self.axis)
@@ -72,7 +78,7 @@ def tensor_operator(alpha, delta) -> tuple[AxisOperator, ...]:
     return tuple(AxisOperator(i, a, d) for i, (a, d) in enumerate(zip(alpha, delta)))
 
 
-def apply_tensor(alpha, delta, f: PiecewisePoly) -> PiecewisePoly:
+def apply_tensor(alpha, delta, f: Trace) -> Trace:
     """Apply the full tensor-product operator for one lattice index."""
     out = f
     for op in tensor_operator(alpha, delta):
@@ -84,12 +90,13 @@ def apply_tensor(alpha, delta, f: PiecewisePoly) -> PiecewisePoly:
 class PolyTraceBundle:
     """The complete family of boundary traces of an order-`order` expansion.
 
-    One PiecewisePoly per lattice index alpha <= order, each constant along
-    its face-inactive axes.
+    One trace per lattice index alpha <= order, each constant along its
+    face-inactive axes; all PiecewisePoly or all LegendreSeries.  The exact
+    norm and bundle_from need PiecewisePoly entries.
     """
 
     order: MultiIndex
-    entries: Mapping[MultiIndex, PiecewisePoly]
+    entries: Mapping[MultiIndex, Trace]
 
     def __post_init__(self):
         order = as_multiindex(self.order)
@@ -105,7 +112,7 @@ class PolyTraceBundle:
                 raise ValueError("bundle entries live on different domains")
             face = face_spec(alpha, order)
             for i, b in enumerate(face):
-                if b < 0 and (e.breaks[i].size or e.degree[i] > 0):
+                if b < 0 and (e.cell_counts[i] > 1 or e.degree[i] > 0):
                     raise ValueError(
                         f"entry {alpha} varies along inactive axis {i} of face {face}"
                     )
@@ -157,8 +164,9 @@ def bundle_from(order, mapping, domain: HyperRect) -> PolyTraceBundle:
     return PolyTraceBundle(as_multiindex(order), entries)
 
 
-def reconstruct(bundle: PolyTraceBundle) -> PiecewisePoly:
-    """Sum of the lifted traces; the inverse of extract_traces_poly."""
+def reconstruct(bundle: PolyTraceBundle) -> Trace:
+    """Sum of the lifted traces, in the representation of the entries; the
+    inverse of extract_traces_poly."""
     total = None
     for alpha in multiindex_range(bundle.order):
         term = apply_tensor(alpha, bundle.order, bundle.entries[alpha])
@@ -179,12 +187,8 @@ def check_membership(u: PiecewisePoly, delta, tol: float = 1e-10):
             continue
         for k in range(d):
             g = u.derivative(axis, k)
-            arr = np.moveaxis(g.coeffs, (axis, g.ndim + axis), (0, 1))
-            widths = np.diff(g.edges(axis))
-            left = np.einsum("ck,ck...->c...", _powers(widths, g.degree[axis]), arr)[:-1]
-            right = arr[1:, 0, ...]
             scale = max(float(np.max(np.abs(g.coeffs))), 1.0)
-            err = np.abs(left - right).reshape(left.shape[0], -1).max(axis=1)
+            err = g.break_jumps(axis)
             if np.any(err > tol * scale):
                 j = int(np.argmax(err))
                 raise ValueError(
@@ -255,8 +259,8 @@ def term_at_point(alpha, delta, trace: TraceFunction, point, domain: HyperRect,
         if point[i] <= domain.lo[i]:
             return 0.0
         x, w = quadrature.axis_quadrature(
-            domain.lo[i], point[i], quadrature._axis_splits(rule, i),
-            quadrature._axis_grading(rule, i), rule.nodes, rule.panels,
+            domain.lo[i], point[i], rule.axis_splits(i), rule.axis_grading(i),
+            rule.nodes, rule.panels,
         )
         axes.append(x)
         weights.append(w)

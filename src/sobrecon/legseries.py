@@ -117,6 +117,11 @@ class LegendreSeries:
         return tuple(s - 1 for s in self.coeffs.shape)
 
     @property
+    def cell_counts(self) -> MultiIndex:
+        """One cell per axis: the whole hypercube."""
+        return (1,) * self.ndim
+
+    @property
     def domain(self) -> HyperRect:
         return HyperRect.cube(self.ndim)
 

@@ -226,6 +226,19 @@ class PiecewisePoly:
         arr[1:, 0, ...] += offsets[:-1]
         return PiecewisePoly(self.domain, self.breaks, b)
 
+    def multiply_kernel(self, axis: int, k: int) -> "PiecewisePoly":
+        """Multiply by the kernel z^k/k! in z = s_axis - lo_axis."""
+        return PiecewisePoly.kernel(self.domain, axis, k) * self
+
+    def break_jumps(self, axis: int) -> np.ndarray:
+        """Largest coefficient jump across each interior break of one axis,
+        comparing the left piece's value at the break with the right piece's."""
+        arr = np.moveaxis(self.coeffs, (axis, self.ndim + axis), (0, 1))
+        widths = np.diff(self.edges(axis))
+        left = np.einsum("ck,ck...->c...", _powers(widths, self.degree[axis]), arr)[:-1]
+        right = arr[1:, 0, ...]
+        return np.abs(left - right).reshape(left.shape[0], -1).max(axis=1)
+
     def integral(self, axes=None) -> float:
         """Exact integral over the domain (or over a subset of axes, in which
         case the remaining axes must carry a constant single piece)."""
@@ -371,40 +384,6 @@ class PiecewisePoly:
 
     def allclose(self, other: "PiecewisePoly", tol: float = 1e-10) -> bool:
         return coeff_distance(self, other) <= tol
-
-    # ------------------------------------------------------------ serialization
-
-    def to_text(self) -> str:
-        lines = ["sobrecon-pwpoly v1", f"ndim {self.ndim}"]
-        lines.append("lo " + " ".join(float.hex(a) for a in self.domain.lo))
-        lines.append("hi " + " ".join(float.hex(b) for b in self.domain.hi))
-        for i in range(self.ndim):
-            lines.append(f"breaks{i} " + " ".join(float.hex(float(b)) for b in self.breaks[i]))
-        lines.append("shape " + " ".join(str(s) for s in self.coeffs.shape))
-        flat = self.coeffs.reshape(-1)
-        for start in range(0, flat.size, 8):
-            lines.append(" ".join(float.hex(float(v)) for v in flat[start:start + 8]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PiecewisePoly":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if lines[0] != "sobrecon-pwpoly v1":
-            raise ValueError(f"unknown format header {lines[0]!r}")
-        nd = int(lines[1].split()[1])
-        lo = [float.fromhex(tok) for tok in lines[2].split()[1:]]
-        hi = [float.fromhex(tok) for tok in lines[3].split()[1:]]
-        breaks = []
-        for i in range(nd):
-            toks = lines[4 + i].split()
-            assert toks[0] == f"breaks{i}"
-            breaks.append(np.array([float.fromhex(t) for t in toks[1:]]))
-        shape = tuple(int(s) for s in lines[4 + nd].split()[1:])
-        values = []
-        for ln in lines[5 + nd:]:
-            values.extend(float.fromhex(t) for t in ln.split())
-        coeffs = np.array(values).reshape(shape)
-        return cls(HyperRect(tuple(lo), tuple(hi)), tuple(breaks), coeffs)
 
 
 class _FacePoly:

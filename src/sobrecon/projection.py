@@ -19,17 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .core import (
-    HyperRect,
-    MultiIndex,
-    TraceFunction,
-    active_axes,
-    as_multiindex,
-    face_spec,
-    leq,
-    meet,
-    multiindex_range,
-)
+from .core import HyperRect, MultiIndex, as_multiindex, leq, multiindex_range
 from .expansion import PolyTraceBundle, reconstruct
 from .legseries import LegendreSeries, legendre_values
 from .piecewise import PiecewisePoly
@@ -140,118 +130,31 @@ def project_step(f, counts, rule: QuadratureRule | None = None) -> CellGrid:
     return CellGrid(counts, _cell_averages_from_grid(f, counts, axes, weights))
 
 
-# --------------------------------------------------------- order-gamma drivers
+# --------------------------------------------------------- order-gamma driver
 
 
-def _face_quadrature(face, rule: QuadratureRule):
-    from .quadrature import _face_axes
-
-    return _face_axes(HyperRect.cube(len(face)), face, rule)
-
-
-class LegendreReconstruction:
-    """Approximant assembled from Legendre-projected boundary traces.
-
-    Holds one projected trace per lattice index alpha <= gamma (a scalar on
-    vertex faces, an active-axes Legendre series otherwise).  Derivatives of
-    the approximant are reassembled from the stored traces through the
-    reconstruction operators in coefficient space, so no high-degree
-    monomial representation is ever formed; orders beyond gamma fall back to
-    coefficient-space differentiation of the assembled series.
-    """
-
-    def __init__(self, gamma: MultiIndex, degree: MultiIndex, traces: dict):
-        self.gamma = as_multiindex(gamma)
-        self.degree = as_multiindex(degree, ndim=len(self.gamma))
-        self.traces = dict(traces)
-        if set(self.traces) != set(multiindex_range(self.gamma)):
-            raise ValueError("need exactly one trace per lattice index")
-        self._cache: dict[MultiIndex, LegendreSeries] = {}
-
-    @property
-    def ndim(self) -> int:
-        return len(self.gamma)
-
-    @property
-    def domain(self) -> HyperRect:
-        return HyperRect.cube(self.ndim)
-
-    def trace_series(self, alpha):
-        return self.traces[as_multiindex(alpha, ndim=self.ndim)]
-
-    def boundary_trace(self, alpha, order=None) -> TraceFunction:
-        order = self.gamma if order is None else as_multiindex(order, ndim=self.ndim)
-        if order != self.gamma:
-            raise ValueError(f"traces are stored at order {self.gamma}, not {order}")
-        alpha = as_multiindex(alpha, ndim=self.ndim)
-        face = face_spec(alpha, self.gamma)
-        value = self.traces[alpha]
-        if not active_axes(face):
-            return TraceFunction(face, float(value))
-        return TraceFunction(face, value)
-
-    def _assembled_derivative(self, mu: MultiIndex) -> LegendreSeries:
-        """D^mu of the approximant for mu <= gamma, by re-expanding at order
-        gamma - mu: a sum of lifted traces, no differentiation involved."""
-        total = None
-        for alpha in multiindex_range(self.gamma):
-            if not leq(mu, alpha):
-                continue
-            value = self.traces[alpha]
-            face = face_spec(alpha, self.gamma)
-            act = active_axes(face)
-            if act:
-                term = value.extend(act, self.ndim)
-            else:
-                term = LegendreSeries.constant(float(value), self.ndim)
-            for i in range(self.ndim):
-                order, top = alpha[i] - mu[i], self.gamma[i] - mu[i]
-                if order < top:
-                    term = term.multiply_kernel(i, order)
-                else:
-                    for _ in range(order):
-                        term = term.antiderivative(i)
-            total = term if total is None else total + term
-        return total
-
-    def derivative_series(self, alpha) -> LegendreSeries:
-        alpha = as_multiindex(alpha, ndim=self.ndim)
-        if alpha not in self._cache:
-            mu = meet(alpha, self.gamma)
-            series = self._assembled_derivative(mu)
-            for i, extra in enumerate(a - m for a, m in zip(alpha, mu)):
-                if extra:
-                    series = series.derivative(i, extra)
-            self._cache[alpha] = series
-        return self._cache[alpha]
-
-    def derivative_grid(self, alpha, axes) -> np.ndarray:
-        return self.derivative_series(alpha).eval_grid(axes)
-
-    def eval_grid(self, axes) -> np.ndarray:
-        return self.derivative_grid((0,) * self.ndim, axes)
-
-    def __call__(self, *coords):
-        return self.derivative_series((0,) * self.ndim)(*coords)
-
-    def to_piecewise_poly(self) -> PiecewisePoly:
-        """Exact reassembly through the piecewise-polynomial operators
-        (moderate degrees only; see LegendreSeries.to_piecewise)."""
-        entries = {}
-        for alpha in multiindex_range(self.gamma):
-            face = face_spec(alpha, self.gamma)
-            act = active_axes(face)
-            value = self.traces[alpha]
-            if act:
-                entries[alpha] = value.extend(act, self.ndim).to_piecewise()
-            else:
-                entries[alpha] = PiecewisePoly.constant(self.domain, float(value))
-        return reconstruct(PolyTraceBundle(self.gamma, entries))
+def _project_traces(u: AnalyticFunction, gamma: MultiIndex, rule: QuadratureRule,
+                    project_face):
+    """Project every boundary trace of the order-gamma expansion and
+    reassemble.  `project_face(trace, axes, weights)` receives the nodes and
+    weights of the trace's active axes and returns the projected trace
+    extended to the full cube (a constant for vertex traces)."""
+    if not leq(gamma, u.delta):
+        raise ValueError(f"projection order {gamma} exceeds smoothness {u.delta}")
+    if u.domain != HyperRect.cube(u.domain.ndim):
+        raise ValueError("trace projections assume the standard hypercube")
+    axes, weights = grid_quadrature(u.domain, rule)
+    entries = {}
+    for alpha in multiindex_range(gamma):
+        trace = u.boundary_trace(alpha, gamma)
+        act = trace.active
+        entries[alpha] = project_face(trace, [axes[i] for i in act],
+                                      [weights[i] for i in act])
+    return reconstruct(PolyTraceBundle(gamma, entries))
 
 
 def sobolev_project_legendre(u: AnalyticFunction, gamma, degree,
-                             rule: QuadratureRule | None = None
-                             ) -> LegendreReconstruction:
+                             rule: QuadratureRule | None = None) -> LegendreSeries:
     """Order-gamma approximant: project each boundary trace onto Legendre
     polynomials of (face-restricted) degree `degree`, then reassemble.
 
@@ -261,22 +164,16 @@ def sobolev_project_legendre(u: AnalyticFunction, gamma, degree,
     nd = u.domain.ndim
     gamma = as_multiindex(gamma, ndim=nd)
     degree = as_multiindex(degree, ndim=nd)
-    if not leq(gamma, u.delta):
-        raise ValueError(f"projection order {gamma} exceeds smoothness {u.delta}")
-    if u.domain != HyperRect.cube(nd):
-        raise ValueError("trace projections assume the standard hypercube")
     rule = rule or rule_for(u, nodes=max(16, max(degree) + 8), panels=8)
-    traces = {}
-    for alpha in multiindex_range(gamma):
-        trace = u.boundary_trace(alpha, gamma)
+
+    def project_face(trace, axes, weights):
         act = trace.active
         if not act:
-            traces[alpha] = float(trace.values)
-            continue
-        axes, weights = _face_quadrature(trace.face, rule)
+            return LegendreSeries.constant(float(trace.values), nd)
         degs = tuple(degree[i] for i in act)
-        traces[alpha] = _legendre_from_grid(trace, degs, axes, weights)
-    return LegendreReconstruction(gamma, degree, traces)
+        return _legendre_from_grid(trace, degs, axes, weights).extend(act, nd)
+
+    return _project_traces(u, gamma, rule, project_face)
 
 
 def sobolev_project_step(u: AnalyticFunction, gamma, counts,
@@ -286,24 +183,18 @@ def sobolev_project_step(u: AnalyticFunction, gamma, counts,
     nd = u.domain.ndim
     gamma = as_multiindex(gamma, ndim=nd)
     counts = as_multiindex(counts, ndim=nd)
-    if not leq(gamma, u.delta):
-        raise ValueError(f"projection order {gamma} exceeds smoothness {u.delta}")
-    if u.domain != HyperRect.cube(nd):
-        raise ValueError("step grids assume the standard hypercube")
     rule = rule_for(u, base=rule or QuadratureRule(nodes=16, panels=8),
                     extra_splits=cell_edges(counts, nd))
-    entries = {}
-    for alpha in multiindex_range(gamma):
-        trace = u.boundary_trace(alpha, gamma)
+
+    def project_face(trace, axes, weights):
         act = trace.active
         if not act:
-            entries[alpha] = PiecewisePoly.constant(u.domain, float(trace.values))
-            continue
-        axes, weights = _face_quadrature(trace.face, rule)
+            return PiecewisePoly.constant(u.domain, float(trace.values))
         face_counts = tuple(counts[i] for i in act)
         averages = _cell_averages_from_grid(trace, face_counts, axes, weights)
-        entries[alpha] = CellGrid(face_counts, averages).to_piecewise(act, nd)
-    return reconstruct(PolyTraceBundle(gamma, entries))
+        return CellGrid(face_counts, averages).to_piecewise(act, nd)
+
+    return _project_traces(u, gamma, rule, project_face)
 
 
 def random_legendre_poly(rng: np.random.Generator, degree) -> LegendreSeries:

@@ -61,17 +61,17 @@ class QuadratureRule:
         if self.panels < 1:
             raise ValueError("need at least 1 panel per axis")
 
+    def axis_splits(self, axis: int) -> tuple[float, ...]:
+        """Mandatory split points of one axis (none when unspecified)."""
+        if self.splits is None or axis >= len(self.splits):
+            return ()
+        return tuple(self.splits[axis])
 
-def _axis_splits(rule: QuadratureRule, axis: int) -> tuple[float, ...]:
-    if rule.splits is None or axis >= len(rule.splits):
-        return ()
-    return tuple(rule.splits[axis])
-
-
-def _axis_grading(rule: QuadratureRule, axis: int):
-    if rule.grading is None or axis >= len(rule.grading):
-        return None
-    return rule.grading[axis]
+    def axis_grading(self, axis: int) -> AxisGrading | None:
+        """Grading of one axis, or None for uniform panels."""
+        if self.grading is None or axis >= len(self.grading):
+            return None
+        return self.grading[axis]
 
 
 def rule_for(u=None, *, ndim=None, base: QuadratureRule | None = None,
@@ -84,8 +84,8 @@ def rule_for(u=None, *, ndim=None, base: QuadratureRule | None = None,
         if u is None:
             raise ValueError("need either a function or an explicit ndim")
         ndim = u.domain.ndim
-    splits = [set(_axis_splits(base, i)) for i in range(ndim)]
-    grading = [_axis_grading(base, i) for i in range(ndim)]
+    splits = [set(base.axis_splits(i)) for i in range(ndim)]
+    grading = [base.axis_grading(i) for i in range(ndim)]
     if u is not None:
         for i in range(ndim):
             splits[i] |= set(float(b) for b in u.breakpoints[i])
@@ -158,8 +158,8 @@ def grid_quadrature(domain: HyperRect, rule: QuadratureRule):
     axes, weights = [], []
     for i in range(domain.ndim):
         x, w = axis_quadrature(
-            domain.lo[i], domain.hi[i], _axis_splits(rule, i),
-            _axis_grading(rule, i), rule.nodes, rule.panels,
+            domain.lo[i], domain.hi[i], rule.axis_splits(i),
+            rule.axis_grading(i), rule.nodes, rule.panels,
         )
         axes.append(x)
         weights.append(w)
@@ -224,6 +224,21 @@ def _deriv_values(obj, alpha, axes) -> np.ndarray:
     return grid_values(obj, axes)
 
 
+def error_components(f, g, indices, domain: HyperRect,
+                     rule: QuadratureRule) -> dict:
+    """Squared L2 norm of D^alpha (f - g) (of D^alpha f when g is None) for
+    every alpha in `indices`, in that order, from one quadrature grid."""
+    axes, weights = grid_quadrature(domain, rule)
+    components = {}
+    for alpha in indices:
+        values = _deriv_values(f, alpha, axes)
+        if g is not None:
+            values = values - _deriv_values(g, alpha, axes)
+        _check_finite(values, axes)
+        components[alpha] = _contract(values * values, weights)
+    return components
+
+
 def norm_index_set(order, family: str = "mixed"):
     """Derivative orders entering the norm: the full box for the
     mixed-smoothness norm, the simplex |alpha|_1 <= max(order) otherwise."""
@@ -244,16 +259,9 @@ def sobolev_error(f, g, order, domain: HyperRect,
     Both operands must supply derivative values on tensor grids up to the
     requested order; `order` multi-indexes the derivative box.
     """
-    rule = rule or QuadratureRule()
-    axes, weights = grid_quadrature(domain, rule)
-    total = 0.0
-    for alpha in norm_index_set(order, family):
-        values = _deriv_values(f, alpha, axes)
-        if g is not None:
-            values = values - _deriv_values(g, alpha, axes)
-        _check_finite(values, axes)
-        total += _contract(values * values, weights)
-    return math.sqrt(max(total, 0.0))
+    comp = error_components(f, g, norm_index_set(order, family), domain,
+                            rule or QuadratureRule())
+    return math.sqrt(max(sum(comp.values()), 0.0))
 
 
 def sobolev_norm(f, order, domain: HyperRect,
@@ -265,8 +273,8 @@ def _face_axes(domain: HyperRect, face, rule: QuadratureRule):
     axes, weights = [], []
     for i in active_axes(face):
         x, w = axis_quadrature(
-            domain.lo[i], domain.hi[i], _axis_splits(rule, i),
-            _axis_grading(rule, i), rule.nodes, rule.panels,
+            domain.lo[i], domain.hi[i], rule.axis_splits(i),
+            rule.axis_grading(i), rule.nodes, rule.panels,
         )
         axes.append(x)
         weights.append(w)

@@ -96,15 +96,6 @@ class TestSweep:
         assert all(math.isnan(v) for v in bad.l2)
 
 
-def test_thread_pool_gives_identical_values(monkeypatch):
-    u = get_example("example1-1d")
-    serial = run_sweep(u, "step", (1,), [4, 8, 16])
-    monkeypatch.setenv("SOBOLEV_RECON_THREADS", "3")
-    pooled = run_sweep(u, "step", (1,), [4, 8, 16])
-    assert pooled.l2 == serial.l2
-    assert pooled.s == serial.s
-
-
 def test_csv_roundtrip(tmp_path):
     r = synthetic_result([2, 4, 8], [1.0, 0.25, 0.0625])
     path = tmp_path / "sweep.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sobrecon.core import HyperRect, multiindex_range
+from sobrecon.core import HyperRect, face_spec, multiindex_range
 from sobrecon.expansion import (
     AxisOperator,
     PolyTraceBundle,
@@ -12,6 +12,7 @@ from sobrecon.expansion import (
     reconstruct,
     term_at_point,
 )
+from sobrecon.legseries import LegendreSeries
 from sobrecon.piecewise import PiecewisePoly, coeff_distance
 from sobrecon.verify import random_domain, random_tensor_poly, random_trace_bundle
 
@@ -73,12 +74,32 @@ class TestReconstruct:
 
     def test_trace_varying_on_inactive_axis_rejected(self):
         dom = HyperRect.cube(2)
-        bad = PiecewisePoly.kernel(dom, 0, 1)  # varies along axis 0
-        good = PiecewisePoly.constant(dom, 0.0)
-        entries = {a: good for a in multiindex_range((1, 0))}
-        entries[(0, 0)] = bad  # face (-1, 0): axis 0 inactive
-        with pytest.raises(ValueError):
-            PolyTraceBundle((1, 0), entries)
+        for good, bad in [
+            (PiecewisePoly.constant(dom, 0.0), PiecewisePoly.kernel(dom, 0, 1)),
+            (LegendreSeries.constant(0.0, 2), LegendreSeries(np.ones((2, 1)))),
+        ]:  # bad varies along axis 0
+            entries = {a: good for a in multiindex_range((1, 0))}
+            entries[(0, 0)] = bad  # face (-1, 0): axis 0 inactive
+            with pytest.raises(ValueError, match="inactive axis 0"):
+                PolyTraceBundle((1, 0), entries)
+
+    def test_legendre_traces_match_piecewise_traces(self):
+        # the same operator on both trace representations
+        rng = np.random.default_rng(11)
+        order = (2, 1)
+        entries = {}
+        for alpha in multiindex_range(order):
+            face = face_spec(alpha, order)
+            shape = tuple(int(rng.integers(1, 5)) + 1 if b == 0 else 1 for b in face)
+            entries[alpha] = LegendreSeries(rng.standard_normal(shape))
+        from_series = reconstruct(PolyTraceBundle(order, entries))
+        from_poly = reconstruct(PolyTraceBundle(
+            order, {a: e.to_piecewise() for a, e in entries.items()}))
+        assert isinstance(from_series, LegendreSeries)
+        assert from_series.to_piecewise().allclose(from_poly, 1e-10)
+        xs = np.linspace(-1, 1, 9)
+        assert np.allclose(from_series.eval_grid([xs, xs]),
+                           from_poly.eval_grid([xs, xs]), rtol=1e-10, atol=1e-10)
 
 
 class TestExtract:

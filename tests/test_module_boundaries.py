@@ -1,0 +1,104 @@
+"""No sobrecon module reaches into another module's `_`-prefixed names.
+
+Defining private names is fine; importing one from a sibling module, or
+reading one as an attribute of a sibling module, is not.
+"""
+
+import ast
+import pathlib
+
+import sobrecon
+
+PACKAGE = pathlib.Path(sobrecon.__file__).parent
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _sobrecon_module(node: ast.ImportFrom) -> str | None:
+    """Dotted sobrecon module an import-from statement reads from, or None."""
+    if node.level:
+        return ".".join(filter(None, ["sobrecon", node.module]))
+    if node.module == "sobrecon" or (node.module or "").startswith("sobrecon."):
+        return node.module
+    return None
+
+
+def private_uses(source: str, module: str) -> list[str]:
+    """Every use, in `source` (the text of sobrecon module `module`), of a
+    private name that belongs to another sobrecon module."""
+    tree = ast.parse(source)
+    module_aliases = {}  # local name -> sobrecon module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            origin = _sobrecon_module(node)
+            if origin is None:
+                continue
+            for alias in node.names:
+                if origin == "sobrecon":
+                    module_aliases[alias.asname or alias.name] = f"sobrecon.{alias.name}"
+                if _is_private(alias.name) and origin != module:
+                    found.append(f"line {node.lineno}: from {origin} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] != "sobrecon":
+                    continue
+                if any(_is_private(p) for p in parts):
+                    found.append(f"line {node.lineno}: import {alias.name}")
+                module_aliases[alias.asname or parts[0]] = (
+                    alias.name if alias.asname else "sobrecon")
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain, base = [node.attr], node.value
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if not isinstance(base, ast.Name) or base.id not in module_aliases:
+            continue
+        owner, path = module_aliases[base.id], [base.id]
+        for attr in reversed(chain):
+            path.append(attr)
+            if _is_private(attr) and owner != module:
+                found.append(f"line {node.lineno}: {'.'.join(path)} of {owner}")
+                break
+            owner = f"{owner}.{attr}"
+    return sorted(set(found))
+
+
+def test_no_cross_module_private_names():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "sobrecon" if path.stem == "__init__" else f"sobrecon.{path.stem}"
+        uses = private_uses(path.read_text(), module)
+        if uses:
+            offenders[path.name] = uses
+    assert not offenders, offenders
+
+
+def test_detector_flags_imports_and_attribute_reads():
+    source = (
+        "from .piecewise import PiecewisePoly, _powers\n"
+        "from . import quadrature\n"
+        "import sobrecon.core as core\n"
+        "def f(rule):\n"
+        "    quadrature._face_axes(None, (), rule)\n"
+        "    core._helper\n"
+        "    quadrature.axis_quadrature\n"
+        "    quadrature.__name__\n"
+        "    rule._private_of_an_object\n"
+        "_mine = 1\n"
+    )
+    uses = private_uses(source, "sobrecon.expansion")
+    assert len(uses) == 3
+    assert any("_powers" in u for u in uses)
+    assert any("_face_axes" in u for u in uses)
+    assert any("_helper" in u for u in uses)
+
+
+def test_detector_allows_own_private_names():
+    source = "from .quadrature import _check_finite\n"
+    assert private_uses(source, "sobrecon.quadrature") == []

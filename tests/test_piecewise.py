@@ -177,31 +177,3 @@ class TestAlgebra:
         t1 = u.boundary_trace((1,), (1,))
         assert t1(np.array([-0.5]))[0] == pytest.approx(-1.0)
         assert t1(np.array([0.5]))[0] == pytest.approx(1.0)
-
-
-class TestSerialization:
-    def test_text_roundtrip(self):
-        rng = np.random.default_rng(13)
-        f = random_poly(rng, ndim=2, degree=(3, 1), n_breaks=(2, 1))
-        g = PiecewisePoly.from_text(f.to_text())
-        assert g.domain == f.domain
-        assert all(np.array_equal(a, b) for a, b in zip(g.breaks, f.breaks))
-        assert np.array_equal(g.coeffs, f.coeffs)
-
-    def test_rejects_unknown_header(self):
-        with pytest.raises(ValueError):
-            PiecewisePoly.from_text("mystery v9\n")
-
-    def test_golden_format(self):
-        f = two_cell_step()
-        golden = "\n".join([
-            "sobrecon-pwpoly v1",
-            "ndim 1",
-            "lo -0x1.0000000000000p+0",
-            "hi 0x1.0000000000000p+0",
-            "breaks0 0x0.0p+0",
-            "shape 2 1",
-            "-0x1.0000000000000p+0 0x1.0000000000000p+0",
-            "",
-        ])
-        assert f.to_text() == golden
