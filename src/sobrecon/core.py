@@ -17,9 +17,11 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 #: Face selector: one entry per axis, 0 for an active (interval) axis and
-#: -1 for an axis pinned at its lower endpoint.  +1 (upper faces) is
-#: reserved and unused.
+#: -1 for an axis pinned at its lower endpoint.
 FaceSpec = tuple[int, ...]
+
+#: Subscript letters for the einsum specs built per axis elsewhere.
+EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def as_multiindex(alpha: Sequence[int] | int, ndim: int | None = None) -> MultiIndex:

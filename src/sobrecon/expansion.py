@@ -16,7 +16,9 @@ antiderivative, so one reconstruction serves both representations.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -32,7 +34,7 @@ from .core import (
     multiindex_range,
 )
 from .legseries import LegendreSeries
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, sum_terms
 
 
 Trace = PiecewisePoly | LegendreSeries
@@ -123,12 +125,13 @@ class PolyTraceBundle:
         return self.entries[multiindex_range(self.order)[0]].domain
 
     def norm(self) -> float:
-        """Root-sum-of-squares of the exact face L2 norms of all traces."""
+        """Root-sum-of-squares of the face L2 norms of all traces, each
+        integrated by a Gauss rule that is exact for its degree."""
         total = 0.0
         for alpha in multiindex_range(self.order):
             face = face_spec(alpha, self.order)
             e = self.entries[alpha]
-            total += (e * e).integral(axes=active_axes(face))
+            total += e.inner(e, axes=active_axes(face))
         return math.sqrt(total)
 
     def scaled(self, factor: float) -> "PolyTraceBundle":
@@ -166,12 +169,16 @@ def bundle_from(order, mapping, domain: HyperRect) -> PolyTraceBundle:
 
 def reconstruct(bundle: PolyTraceBundle) -> Trace:
     """Sum of the lifted traces, in the representation of the entries; the
-    inverse of extract_traces_poly."""
-    total = None
-    for alpha in multiindex_range(bundle.order):
-        term = apply_tensor(alpha, bundle.order, bundle.entries[alpha])
-        total = term if total is None else total + term
-    return total
+    inverse of extract_traces_poly.
+
+    Piecewise terms are added as they are lifted, each break grid refined
+    once (see sum_terms), instead of refining a running total per term.
+    """
+    lattice = multiindex_range(bundle.order)
+    terms = (apply_tensor(alpha, bundle.order, bundle.entries[alpha]) for alpha in lattice)
+    if isinstance(bundle.entries[lattice[0]], LegendreSeries):
+        return functools.reduce(operator.add, terms)
+    return sum_terms(terms)
 
 
 def check_membership(u: PiecewisePoly, delta, tol: float = 1e-10):

@@ -16,10 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HyperRect, MultiIndex, as_multiindex
+from .core import EINSUM_LETTERS, HyperRect, MultiIndex, as_multiindex
 from .piecewise import PiecewisePoly
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+#: Highest axis degree to_piecewise converts; see its docstring.
+_MAX_PIECEWISE_DEGREE = 12
 
 
 def _scale(n: int) -> np.ndarray:
@@ -135,21 +136,21 @@ class LegendreSeries:
     def eval_grid(self, axes) -> np.ndarray:
         if len(axes) != self.ndim:
             raise ValueError(f"expected {self.ndim} axis arrays")
-        ops, subs = [self.coeffs], [_LETTERS[: self.ndim]]
-        out = _LETTERS[self.ndim: 2 * self.ndim]
+        ops, subs = [self.coeffs], [EINSUM_LETTERS[: self.ndim]]
+        out = EINSUM_LETTERS[self.ndim: 2 * self.ndim]
         for i, x in enumerate(axes):
             ops.append(legendre_values(self.degree[i], x))
-            subs.append(_LETTERS[i] + out[i])
+            subs.append(EINSUM_LETTERS[i] + out[i])
         return np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
 
     def __call__(self, *coords):
         arrs = np.broadcast_arrays(*[np.asarray(c, float) for c in coords])
         shape = arrs[0].shape
         flat = [a.reshape(-1) for a in arrs]
-        ops, subs = [self.coeffs], [_LETTERS[: self.ndim]]
+        ops, subs = [self.coeffs], [EINSUM_LETTERS[: self.ndim]]
         for i in range(self.ndim):
             ops.append(legendre_values(self.degree[i], flat[i]))  # (d+1, M)
-            subs.append(_LETTERS[i] + "z")
+            subs.append(EINSUM_LETTERS[i] + "z")
         val = np.einsum(",".join(subs) + "->z", *ops, optimize=True)
         return val.reshape(shape) if shape else float(val[0])
 
@@ -242,14 +243,20 @@ class LegendreSeries:
         """Conversion to a single-cell PiecewisePoly, exact in exact arithmetic.
 
         The corner-monomial basis of PiecewisePoly is ill-conditioned from low
-        degree on.  For ``f = LegendreSeries(default_rng(0).standard_normal(d
-        + 1))`` and ``p = f.to_piecewise()``, max |p(x) - f(x)| / max |f(x)|
-        over 41 equispaced x in [-1, 1] is 1.1e-11 at d=8, 5.3e-10 at d=11,
-        7.4e-7 at d=16 and 1.8 at d=24.
+        degree on, so any axis degree above 12 is refused.  For ``f =
+        LegendreSeries(default_rng(0).standard_normal(d + 1))`` and ``p =
+        f.to_piecewise()``, max |p(x) - f(x)| / max |f(x)| over 41 equispaced
+        x in [-1, 1] is 1.1e-11 at d=8, 5.3e-10 at d=11 and 2.1e-8 at d=12;
+        past the limit it grows to 7.4e-7 at d=16 and 1.8 at d=24.
         """
         domain = domain or self.domain
         if domain != HyperRect.cube(self.ndim):
             raise ValueError("series live on the standard hypercube")
+        if max(self.degree) > _MAX_PIECEWISE_DEGREE:
+            raise ValueError(
+                f"degree {self.degree} is above {_MAX_PIECEWISE_DEGREE}, where the "
+                "corner-monomial basis of PiecewisePoly loses too many digits (value "
+                "error already 2.1e-8 at degree 12)")
         out = self.coeffs
         for axis in range(self.ndim):
             n = out.shape[axis]

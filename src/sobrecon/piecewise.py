@@ -10,16 +10,23 @@ each cell's lower corner c.  In this basis the kernels z^k/k! are unit
 coefficient vectors, differentiation and antidifferentiation are index
 shifts, and re-anchoring a piece to a new corner is the evaluation of its
 derivatives there (no factorial ratios appear anywhere).
+
+The public constructor validates breaks and coefficient shapes.  Results of
+operations on valid polynomials are valid by construction and skip that
+check: they are built through ``PiecewisePoly._make``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .core import (
+    EINSUM_LETTERS,
     FaceSpec,
     HyperRect,
     MultiIndex,
@@ -29,8 +36,6 @@ from .core import (
     face_spec,
 )
 from .quadrature import axis_quadrature
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _powers(z, degree: int) -> np.ndarray:
@@ -43,17 +48,44 @@ def _powers(z, degree: int) -> np.ndarray:
     return out
 
 
-def _shift_matrix(h: float, degree: int) -> np.ndarray:
-    """Re-anchoring map: coefficients about c become coefficients about c+h.
+def _shift_matrices(h: np.ndarray, degree: int) -> np.ndarray:
+    """Re-anchoring maps, one per entry of h: coefficients about c become
+    coefficients about c + h, shape (len(h), degree+1, degree+1).
 
     In the scaled-monomial basis the new coefficients are the derivatives at
     the new anchor, b_p = sum_k a_k h^(k-p)/(k-p)!.
     """
-    row = _powers(np.array([h]), degree)[0]
-    out = np.zeros((degree + 1, degree + 1))
-    for j in range(degree + 1):
-        out[np.arange(degree + 1 - j), np.arange(j, degree + 1)] = row[j]
+    lag = np.subtract.outer(np.arange(degree + 1), np.arange(degree + 1)).T  # k - p
+    return np.where(lag >= 0, _powers(h, degree)[:, np.maximum(lag, 0)], 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """Pascal matrix C[q, m] = binom(q, m) for q, m = 0..n (shared, read-only)."""
+    out = np.array([[math.comb(q, m) for m in range(n + 1)] for q in range(n + 1)], float)
+    out.setflags(write=False)
     return out
+
+
+def _cellwise(coeffs: np.ndarray, axis: int, mats: np.ndarray) -> np.ndarray:
+    """Apply mats[c] to the axis-`axis` coefficient vector of every cell c
+    along that axis (coeffs has one cell row per matrix).  einsum's summation
+    order depends on the operands' memory layout, so mats is made C-ordered
+    to keep results independent of how it was built."""
+    nd = coeffs.ndim // 2
+    arr = np.moveaxis(coeffs, (axis, nd + axis), (0, 1))
+    out = np.einsum("cpk,ck...->cp...", np.ascontiguousarray(mats), arr)
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (axis, nd + axis)))
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Union of two strictly increasing break arrays; sorts only when
+    neither is empty and they differ."""
+    if b.size == 0 or a is b or np.array_equal(a, b):
+        return a
+    if a.size == 0:
+        return b
+    return np.union1d(a, b)
 
 
 def _factorial_tensor(degree: MultiIndex) -> np.ndarray:
@@ -98,6 +130,16 @@ class PiecewisePoly:
                 raise ValueError(f"axis {i}: {coeffs.shape[i]} cell rows for {b.size} breaks")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _make(cls, domain: HyperRect, breaks: tuple[np.ndarray, ...],
+              coeffs: np.ndarray) -> "PiecewisePoly":
+        """Unchecked constructor for results of operations on valid
+        polynomials: ``breaks`` are float arrays and ``coeffs`` a float array
+        of matching shape, so nothing is converted or validated."""
+        out = object.__new__(cls)
+        out.__dict__.update(domain=domain, breaks=breaks, coeffs=coeffs)
+        return out
 
     # ------------------------------------------------------------------ shape
 
@@ -177,16 +219,16 @@ class PiecewisePoly:
         """Values on the tensor grid spanned by one node array per axis."""
         if len(axes) != self.ndim:
             raise ValueError(f"expected {self.ndim} axis arrays")
-        nd = self.ndim
-        ops, subs = [self.coeffs], [_LETTERS[:nd] + _LETTERS[nd:2 * nd]]
-        node_letters = _LETTERS[2 * nd:3 * nd]
+        nd, letters = self.ndim, EINSUM_LETTERS
+        ops, subs = [self.coeffs], [letters[:2 * nd]]
+        node_letters = letters[2 * nd:3 * nd]
         for i, x in enumerate(axes):
             x = self._check_inside(i, np.asarray(x, float).reshape(-1))
             idx = self._locate(i, x)
             block = np.zeros((x.size, self.cell_counts[i], self.degree[i] + 1))
             block[np.arange(x.size), idx, :] = _powers(x - self.edges(i)[idx], self.degree[i])
             ops.append(block)
-            subs.append(node_letters[i] + _LETTERS[i] + _LETTERS[nd + i])
+            subs.append(node_letters[i] + letters[i] + letters[nd + i])
         spec = ",".join(subs) + "->" + node_letters
         return np.einsum(spec, *ops, optimize=True)
 
@@ -200,10 +242,10 @@ class PiecewisePoly:
         if order > self.degree[axis]:
             shape = list(self.coeffs.shape)
             shape[dax] = 1
-            return PiecewisePoly(self.domain, self.breaks, np.zeros(shape))
+            return PiecewisePoly._make(self.domain, self.breaks, np.zeros(shape))
         slc = [slice(None)] * self.coeffs.ndim
         slc[dax] = slice(order, None)
-        return PiecewisePoly(self.domain, self.breaks, self.coeffs[tuple(slc)].copy())
+        return PiecewisePoly._make(self.domain, self.breaks, self.coeffs[tuple(slc)].copy())
 
     def mixed_derivative(self, alpha) -> "PiecewisePoly":
         out = self
@@ -216,20 +258,35 @@ class PiecewisePoly:
 
     def antiderivative(self, axis: int) -> "PiecewisePoly":
         """Antiderivative vanishing at the lower boundary, continuous across breaks."""
-        nd, dax = self.ndim, self.ndim + axis
-        pad = [(0, 0)] * self.coeffs.ndim
-        pad[dax] = (1, 0)
-        b = np.pad(self.coeffs, pad)
+        dax = self.ndim + axis
+        shape = list(self.coeffs.shape)
+        shape[dax] += 1
+        b = np.zeros(shape)
         arr = np.moveaxis(b, (axis, dax), (0, 1))  # (cells, deg+2, ...)
+        arr[:, 1:] = np.moveaxis(self.coeffs, (axis, dax), (0, 1))
         widths = np.diff(self.edges(axis))
         vals = np.einsum("ck,ck...->c...", _powers(widths, self.degree[axis] + 1), arr)
         offsets = np.cumsum(vals, axis=0)
         arr[1:, 0, ...] += offsets[:-1]
-        return PiecewisePoly(self.domain, self.breaks, b)
+        return PiecewisePoly._make(self.domain, self.breaks, b)
 
     def multiply_kernel(self, axis: int, k: int) -> "PiecewisePoly":
-        """Multiply by the kernel z^k/k! in z = s_axis - lo_axis."""
-        return PiecewisePoly.kernel(self.domain, axis, k) * self
+        """Multiply by the kernel z^k/k! in z = s_axis - lo_axis.
+
+        About a cell's lower corner c the kernel's coefficients are its
+        derivatives there, h^(k-p)/(k-p)! with h = c - lo_axis, and a product
+        of scaled monomials is t^m/m! * t^n/n! = binom(m+n, m) t^(m+n)/(m+n)!.
+        So the product is a per-cell binomial convolution along this axis
+        alone; the breaks and the other axes are left as they are.
+        """
+        if k == 0:
+            return self
+        d = self.degree[axis]
+        kern = _powers(self.edges(axis)[:-1] - self.domain.lo[axis], k)[:, ::-1]
+        lag = np.subtract.outer(np.arange(d + k + 1), np.arange(d + 1))  # q - m
+        conv = np.where((lag >= 0) & (lag <= k),
+                        _binomials(d + k)[:, :d + 1] * kern[:, np.clip(lag, 0, k)], 0.0)
+        return PiecewisePoly._make(self.domain, self.breaks, _cellwise(self.coeffs, axis, conv))
 
     def break_jumps(self, axis: int) -> np.ndarray:
         """Largest coefficient jump across each interior break of one axis,
@@ -243,24 +300,31 @@ class PiecewisePoly:
     def integral(self, axes=None) -> float:
         """Exact integral over the domain (or over a subset of axes, in which
         case the remaining axes must carry a constant single piece)."""
-        nd = self.ndim
+        nd, letters = self.ndim, EINSUM_LETTERS
         axes = tuple(range(nd)) if axes is None else tuple(sorted(set(axes)))
-        ops, subs = [self.coeffs], [_LETTERS[:nd] + _LETTERS[nd:2 * nd]]
+        ops, subs = [self.coeffs], [letters[:2 * nd]]
         out = ""
         for i in range(nd):
             if i in axes:
                 w = _powers(np.diff(self.edges(i)), self.degree[i] + 1)[:, 1:]
                 ops.append(w)
-                subs.append(_LETTERS[i] + _LETTERS[nd + i])
+                subs.append(letters[i] + letters[nd + i])
             else:
-                if self.cell_counts[i] != 1 or self.degree[i] != 0:
-                    raise ValueError(f"axis {i} must be constant to stay out of the integral")
-                out += _LETTERS[i] + _LETTERS[nd + i]
+                self._check_constant(i, "to stay out of the integral")
+                out += letters[i] + letters[nd + i]
         res = np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
         return float(np.squeeze(res))
 
-    def inner(self, other: "PiecewisePoly") -> float:
+    def _check_constant(self, axis: int, why: str):
+        if self.cell_counts[axis] != 1 or self.degree[axis] != 0:
+            raise ValueError(f"axis {axis} must be constant {why}")
+
+    def inner(self, other: "PiecewisePoly", axes=None) -> float:
         """L2 inner product over the domain, integrated without forming f*g.
+
+        With ``axes`` the integral runs over those axes only, and both
+        operands must be constant (a single degree-0 piece) on the others,
+        as for ``integral``: this is the inner product on a face.
 
         Each cell of the common refinement of both break grids gets a
         Gauss-Legendre rule with floor((deg_f,i + deg_g,i)/2) + 1 nodes per
@@ -277,44 +341,47 @@ class PiecewisePoly:
         """
         if self.domain != other.domain:
             raise ValueError("operands live on different domains")
+        axes = range(self.ndim) if axes is None else set(axes)
         xs, ws = [], []
         for i in range(self.ndim):
-            x, w = axis_quadrature(
-                self.domain.lo[i], self.domain.hi[i],
-                np.union1d(self.breaks[i], other.breaks[i]),
-                nodes=(self.degree[i] + other.degree[i]) // 2 + 1, panels=1)
+            if i in axes:
+                x, w = axis_quadrature(
+                    self.domain.lo[i], self.domain.hi[i],
+                    _union(self.breaks[i], other.breaks[i]),
+                    nodes=(self.degree[i] + other.degree[i]) // 2 + 1, panels=1)
+            else:
+                for f in (self, other):
+                    f._check_constant(i, "to stay out of the inner product")
+                x, w = np.array([self.domain.lo[i]]), np.ones(1)
             xs.append(x)
             ws.append(w)
-        vals = self.eval_grid(xs) * other.eval_grid(xs)
-        nodes = _LETTERS[:self.ndim]
+        fx = self.eval_grid(xs)
+        vals = fx * (fx if other is self else other.eval_grid(xs))
+        nodes = EINSUM_LETTERS[:self.ndim]
         return float(np.einsum(",".join([nodes, *nodes]) + "->", vals, *ws, optimize=True))
 
     # -------------------------------------------------------------- arithmetic
 
-    def _refine_axis(self, axis: int, extra) -> "PiecewisePoly":
-        extra = np.asarray(extra, float).reshape(-1)
-        lo, hi = self.domain.lo[axis], self.domain.hi[axis]
-        extra = extra[(extra > lo) & (extra < hi)]
-        new_breaks = np.unique(np.concatenate([self.breaks[axis], extra]))
+    def _refine_axis(self, axis: int, extra: np.ndarray) -> "PiecewisePoly":
+        """This polynomial with the breaks ``extra`` (strictly increasing and
+        inside the domain) added along one axis."""
+        new_breaks = _union(self.breaks[axis], extra)
         if new_breaks.size == self.breaks[axis].size:
             return self
-        old_edges = self.edges(axis)
+        lo, hi = self.domain.lo[axis], self.domain.hi[axis]
         new_edges = np.concatenate(([lo], new_breaks, [hi]))
-        mids = 0.5 * (new_edges[:-1] + new_edges[1:])
-        parent = self._locate(axis, mids)
-        h = new_edges[:-1] - old_edges[parent]
-        d = self.degree[axis]
-        shifts = np.stack([_shift_matrix(hj, d) for hj in h])
-        arr = np.take(self.coeffs, parent, axis=axis)
-        arr = np.moveaxis(arr, (axis, self.ndim + axis), (0, 1))
-        out = np.einsum("cpk,ck...->cp...", shifts, arr)
-        out = np.moveaxis(out, (0, 1), (axis, self.ndim + axis))
+        parent = self._locate(axis, 0.5 * (new_edges[:-1] + new_edges[1:]))
+        h = new_edges[:-1] - self.edges(axis)[parent]
+        out = _cellwise(np.take(self.coeffs, parent, axis=axis), axis,
+                        _shift_matrices(h, self.degree[axis]))
         breaks = list(self.breaks)
         breaks[axis] = new_breaks
-        return PiecewisePoly(self.domain, tuple(breaks), np.ascontiguousarray(out))
+        return PiecewisePoly._make(self.domain, tuple(breaks), out)
 
     def refine(self, other: "PiecewisePoly") -> "PiecewisePoly":
         """This polynomial re-expressed on the union of both break grids."""
+        if self.domain != other.domain:
+            raise ValueError("operands live on different domains")
         out = self
         for i in range(self.ndim):
             out = out._refine_axis(i, other.breaks[i])
@@ -323,25 +390,23 @@ class PiecewisePoly:
     def _pad_degree(self, degree: MultiIndex) -> "PiecewisePoly":
         if tuple(degree) == self.degree:
             return self
-        pad = [(0, 0)] * self.ndim + [
-            (0, d - cur) for d, cur in zip(degree, self.degree)
-        ]
-        if any(p[1] < 0 for p in pad):
+        if any(d < cur for d, cur in zip(degree, self.degree)):
             raise ValueError("cannot reduce degree by padding")
-        return PiecewisePoly(self.domain, self.breaks, np.pad(self.coeffs, pad))
+        out = np.zeros(self.cell_counts + tuple(d + 1 for d in degree))
+        out[tuple(slice(0, s) for s in self.coeffs.shape)] = self.coeffs
+        return PiecewisePoly._make(self.domain, self.breaks, out)
 
     def __add__(self, other):
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
         if self.domain != other.domain:
             raise ValueError("operands live on different domains")
-        f, g = self.refine(other), other.refine(self)
-        degree = tuple(max(a, b) for a, b in zip(f.degree, g.degree))
-        f, g = f._pad_degree(degree), g._pad_degree(degree)
-        return PiecewisePoly(self.domain, f.breaks, f.coeffs + g.coeffs)
+        breaks = tuple(_union(a, b) for a, b in zip(self.breaks, other.breaks))
+        degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
+        return _accumulate(_zeros(self.domain, breaks, degree), (self, other))
 
     def __neg__(self):
-        return PiecewisePoly(self.domain, self.breaks, -self.coeffs)
+        return PiecewisePoly._make(self.domain, self.breaks, -self.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, PiecewisePoly):
@@ -351,7 +416,7 @@ class PiecewisePoly:
     def __rmul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return PiecewisePoly(self.domain, self.breaks, float(scalar) * self.coeffs)
+        return PiecewisePoly._make(self.domain, self.breaks, float(scalar) * self.coeffs)
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -372,7 +437,7 @@ class PiecewisePoly:
             sel = fa[cells + m][(...,) + (None,) * nd]
             out[cells + tuple(slice(mi, mi + di + 1) for mi, di in zip(m, dg))] += sel * ga
         out *= _factorial_tensor(dout).reshape((1,) * nd + tuple(d + 1 for d in dout))
-        return PiecewisePoly(self.domain, f.breaks, out)
+        return PiecewisePoly._make(self.domain, f.breaks, out)
 
     # -------------------------------------------------------------- restriction
 
@@ -388,14 +453,13 @@ class PiecewisePoly:
         sel = [slice(None)] * self.coeffs.ndim
         breaks = list(self.breaks)
         for i, b in enumerate(face):
-            if b == 0:
-                continue
-            if b > 0:
-                raise ValueError("upper faces are not supported")
-            sel[i] = slice(0, 1)
-            sel[self.ndim + i] = slice(0, 1)
-            breaks[i] = np.array([])
-        return PiecewisePoly(self.domain, tuple(breaks), self.coeffs[tuple(sel)].copy())
+            if b not in (0, -1):
+                raise ValueError(f"face entries must be 0 or -1, got {b!r} on axis {i}")
+            if b == -1:
+                sel[i] = slice(0, 1)
+                sel[self.ndim + i] = slice(0, 1)
+                breaks[i] = np.array([])
+        return PiecewisePoly._make(self.domain, tuple(breaks), self.coeffs[tuple(sel)].copy())
 
     def boundary_trace(self, alpha, order) -> TraceFunction:
         """Trace of D^alpha on the face it lives on in an order-`order` expansion."""
@@ -434,6 +498,56 @@ class _FacePoly:
         full = [next(it) if i in self.active else self.pw.domain.lo[i]
                 for i in range(self.pw.ndim)]
         return self.pw(*full)
+
+
+def _zeros(domain: HyperRect, breaks: tuple[np.ndarray, ...],
+           degree: MultiIndex) -> PiecewisePoly:
+    cells = tuple(b.size + 1 for b in breaks)
+    return PiecewisePoly._make(domain, breaks, np.zeros(cells + tuple(d + 1 for d in degree)))
+
+
+def _accumulate(total: PiecewisePoly, terms: Iterable[PiecewisePoly]) -> PiecewisePoly:
+    """Add each term, re-expressed on total's break grid, into total's
+    coefficients in place; returns total.  Every term's breaks must be among
+    total's and its degree at most total's."""
+    nd = total.ndim
+    for t in terms:
+        for i in range(nd):
+            t = t._refine_axis(i, total.breaks[i])
+        total.coeffs[(slice(None),) * nd + tuple(slice(0, d + 1) for d in t.degree)] += t.coeffs
+    return total
+
+
+def sum_terms(terms: Iterable[PiecewisePoly]) -> PiecewisePoly:
+    """Sum of piecewise polynomials on one domain, refining each grid once.
+
+    Terms that share a break grid are added on that grid as they arrive.
+    Each of these partial sums is then re-expressed on the union of all
+    grids and added into one coefficient array, so a generator of terms
+    keeps one partial sum per distinct grid in memory, not every term.
+    """
+    partial = {}  # break grid -> partial sum, in an array owned here
+    domain = None
+    for t in terms:
+        if domain is None:
+            domain = t.domain
+        elif t.domain != domain:
+            raise ValueError("terms live on different domains")
+        key = tuple(b.tobytes() for b in t.breaks)
+        acc = partial.get(key)
+        if acc is None or any(a > b for a, b in zip(t.degree, acc.degree)):
+            degree = t.degree if acc is None else tuple(map(max, t.degree, acc.degree))
+            acc = _accumulate(_zeros(t.domain, t.breaks, degree), () if acc is None else (acc,))
+        partial[key] = _accumulate(acc, (t,))
+    if not partial:
+        raise ValueError("no terms to sum")
+    sums = list(partial.values())
+    if len(sums) == 1:
+        return sums[0]
+    axes = range(domain.ndim)
+    breaks = tuple(functools.reduce(_union, (f.breaks[i] for f in sums)) for i in axes)
+    degree = tuple(max(f.degree[i] for f in sums) for i in axes)
+    return _accumulate(_zeros(domain, breaks, degree), sums)
 
 
 def coeff_distance(f: PiecewisePoly, g: PiecewisePoly) -> float:

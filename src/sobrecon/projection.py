@@ -19,14 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .core import HyperRect, MultiIndex, as_multiindex, leq, multiindex_range
+from .core import EINSUM_LETTERS, HyperRect, MultiIndex, as_multiindex, leq, multiindex_range
 from .expansion import PolyTraceBundle, reconstruct
 from .legseries import LegendreSeries, legendre_values
 from .piecewise import PiecewisePoly
 from .quadrature import QuadratureRule, grid_quadrature, grid_values, rule_for
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
 
 def kappa(degree, face) -> MultiIndex:
     """Per-axis degree cap of a face projection: the requested degree on
@@ -45,26 +42,26 @@ def cell_edges(counts, ndim: int) -> tuple[tuple[float, ...], ...]:
 
 def _legendre_from_grid(f, degree: MultiIndex, axes, weights) -> LegendreSeries:
     values = grid_values(f, axes)
-    ops, subs = [values], [_LETTERS[: len(axes)]]
-    out = _LETTERS[len(axes): 2 * len(axes)]
+    ops, subs = [values], [EINSUM_LETTERS[: len(axes)]]
+    out = EINSUM_LETTERS[len(axes): 2 * len(axes)]
     for i, (x, w) in enumerate(zip(axes, weights)):
         ops.append(legendre_values(degree[i], x) * w[None, :])
-        subs.append(out[i] + _LETTERS[i])
+        subs.append(out[i] + EINSUM_LETTERS[i])
     coeffs = np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
     return LegendreSeries(coeffs)
 
 
 def _cell_averages_from_grid(f, counts: MultiIndex, axes, weights) -> np.ndarray:
     values = grid_values(f, axes)
-    ops, subs = [values], [_LETTERS[: len(axes)]]
-    out = _LETTERS[len(axes): 2 * len(axes)]
+    ops, subs = [values], [EINSUM_LETTERS[: len(axes)]]
+    out = EINSUM_LETTERS[len(axes): 2 * len(axes)]
     for i, (x, w) in enumerate(zip(axes, weights)):
         k = counts[i]
         idx = np.clip(((x + 1.0) * 0.5 * k).astype(int), 0, k - 1)
         agg = np.zeros((k, x.size))
         agg[idx, np.arange(x.size)] = w
         ops.append(agg)
-        subs.append(out[i] + _LETTERS[i])
+        subs.append(out[i] + EINSUM_LETTERS[i])
     sums = np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
     volume = math.prod(2.0 / k for k in counts)
     return sums / volume

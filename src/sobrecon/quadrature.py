@@ -27,9 +27,6 @@ from .core import (
     multiindex_range,
 )
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
 @dataclass(frozen=True)
 class AxisGrading:
     """Geometric panel refinement toward one point of an axis."""

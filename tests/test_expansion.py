@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from sobrecon.core import HyperRect, face_spec, multiindex_range
 from sobrecon.expansion import (
     AxisOperator,
     PolyTraceBundle,
+    apply_tensor,
     bundle_from,
     check_membership,
     extract_traces_poly,
@@ -100,6 +104,35 @@ class TestReconstruct:
         xs = np.linspace(-1, 1, 9)
         assert np.allclose(from_series.eval_grid([xs, xs]),
                            from_poly.eval_grid([xs, xs]), rtol=1e-10, atol=1e-10)
+
+
+    @pytest.mark.parametrize("delta", [(2, 2), (1, 2, 1)])
+    def test_matches_pairwise_sum_of_lifted_terms(self, delta):
+        rng = np.random.default_rng(30 + len(delta))
+        lattice = multiindex_range(delta)
+        for trial in range(5):
+            b = random_trace_bundle(rng, delta, random_domain(rng, len(delta)),
+                                    breaks_per_axis=2)
+            grids = {tuple(map(tuple, b.entries[a].breaks)) for a in lattice}
+            assert len(grids) > 1  # the entries really have different break grids
+            terms = [apply_tensor(a, delta, b.entries[a]) for a in lattice]
+            pairwise = functools.reduce(operator.add, terms)
+            assert coeff_distance(reconstruct(b), pairwise) <= 1e-14, trial
+
+
+class TestBundleNorm:
+    def test_high_degree_face_entry_matches_parseval(self):
+        # the only nonzero trace lives on the face z = -1 of [-1, 1]^3; its
+        # L2 norm there is |c| / sqrt(2), c its orthonormal Legendre coefficients
+        order = (1, 1, 1)
+        for seed in range(5):
+            c = np.random.default_rng(seed).standard_normal((7, 6, 1))
+            entries = {a: PiecewisePoly.constant(HyperRect.cube(3), 0.0)
+                       for a in multiindex_range(order)}
+            entries[(1, 1, 0)] = LegendreSeries(c).to_piecewise()
+            assert entries[(1, 1, 0)].degree == (6, 5, 0)
+            norm = PolyTraceBundle(order, entries).norm()
+            assert norm == pytest.approx(np.linalg.norm(c) / np.sqrt(2.0), rel=1e-10), seed
 
 
 class TestExtract:

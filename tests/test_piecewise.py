@@ -3,7 +3,7 @@ import pytest
 
 from sobrecon.core import HyperRect
 from sobrecon.legseries import LegendreSeries
-from sobrecon.piecewise import PiecewisePoly, coeff_distance
+from sobrecon.piecewise import PiecewisePoly, coeff_distance, sum_terms
 
 
 def two_cell_step(lo=-1.0, hi=1.0, split=0.0, left=-1.0, right=1.0):
@@ -149,6 +149,15 @@ class TestIntegrals:
         for x, y in pts:
             assert h(x, y) == pytest.approx(f(x, y) * g(x, y), rel=1e-12, abs=1e-12)
 
+    def test_inner_over_face_axes(self):
+        rng = np.random.default_rng(4)
+        f = random_poly(rng, degree=(3, 0), n_breaks=(2, 0))
+        g = random_poly(rng, degree=(2, 0), n_breaks=(1, 0))
+        expected = (f * g).integral(axes=(0,))
+        assert f.inner(g, axes=(0,)) == pytest.approx(expected, rel=1e-13)
+        with pytest.raises(ValueError, match="axis 0 must be constant"):
+            f.inner(g, axes=(1,))
+
     def test_subset_integral_requires_constant_axes(self):
         dom = HyperRect.cube(2)
         f = PiecewisePoly.kernel(dom, 0, 1)
@@ -173,6 +182,30 @@ class TestAlgebra:
         f = two_cell_step()
         assert (2.5 * f)(0.5) == pytest.approx(2.5)
 
+    def test_sum_terms_matches_pairwise_sum(self):
+        rng = np.random.default_rng(8)
+        for trial in range(5):
+            terms = [random_poly(rng, degree=tuple(rng.integers(0, 4, 2)),
+                                 n_breaks=tuple(rng.integers(0, 3, 2))) for _ in range(5)]
+            pairwise = terms[0]
+            for t in terms[1:]:
+                pairwise = pairwise + t
+            assert coeff_distance(sum_terms(iter(terms)), pairwise) <= 1e-14, trial
+
+    def test_sum_terms_rejects_empty_and_mixed_domains(self):
+        with pytest.raises(ValueError, match="no terms"):
+            sum_terms([])
+        f = two_cell_step()
+        g = two_cell_step(lo=-2.0)
+        with pytest.raises(ValueError, match="different domains"):
+            sum_terms([f, g])
+
+    def test_restrict_rejects_faces_other_than_lower(self):
+        f = random_poly(np.random.default_rng(2))
+        for face in [(1, 0), (0, -2)]:
+            with pytest.raises(ValueError, match="0 or -1"):
+                f.restrict(face)
+
     def test_restrict_pins_lower_corner(self):
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
         f = 2.0 * PiecewisePoly.kernel(dom, 0, 2) * PiecewisePoly.kernel(dom, 1, 1)
@@ -193,3 +226,41 @@ class TestAlgebra:
         t1 = u.boundary_trace((1,), (1,))
         assert t1(np.array([-0.5]))[0] == pytest.approx(-1.0)
         assert t1(np.array([0.5]))[0] == pytest.approx(1.0)
+
+
+class TestKernelMultiply:
+    @pytest.mark.parametrize("n_breaks", [(3,), (2, 0), (0, 3), (2, 0, 1)])
+    def test_matches_general_product(self, n_breaks):
+        # every axis is tried as the kernel axis, so breaks lie on it and off it
+        nd = len(n_breaks)
+        rng = np.random.default_rng(10 * nd + sum(n_breaks))
+        for trial in range(3):
+            lo = rng.uniform(-2.0, 0.0, nd)
+            domain = HyperRect(tuple(lo), tuple(lo + rng.uniform(0.5, 3.0, nd)))
+            f = random_poly(rng, nd, tuple(rng.integers(0, 4, nd)), n_breaks, domain)
+            for axis in range(nd):
+                for k in range(5):
+                    got = f.multiply_kernel(axis, k)
+                    ref = PiecewisePoly.kernel(domain, axis, k) * f
+                    assert got.coeffs.shape == ref.coeffs.shape
+                    assert all(np.array_equal(a, b) for a, b in zip(got.breaks, ref.breaks))
+                    scale = np.max(np.abs(ref.coeffs))
+                    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * scale, (axis, k)
+
+
+class TestValidation:
+    def test_public_constructor_rejects_malformed_input(self):
+        dom = HyperRect.cube(2)
+        good = (np.array([0.0]), np.array([]))
+        coeffs = np.zeros((2, 1, 3, 2))
+        PiecewisePoly(dom, good, coeffs)
+        bad = [
+            ((np.array([0.5, 0.0]), np.array([])), np.zeros((3, 1, 3, 2))),  # decreasing
+            ((np.array([1.0]), np.array([])), coeffs),  # break on the boundary
+            ((np.array([0.0]),), coeffs),  # one break array for two axes
+            (good, np.zeros((2, 1, 3))),  # wrong number of coefficient dims
+            (good, np.zeros((3, 1, 3, 2))),  # cell rows do not match breaks
+        ]
+        for breaks, c in bad:
+            with pytest.raises(ValueError):
+                PiecewisePoly(dom, breaks, c)
