@@ -21,7 +21,6 @@ from .core import (
     multiindex_range,
 )
 from .expansion import (
-    AxisOperator,
     PolyTraceBundle,
     apply_tensor,
     bundle_from,
@@ -32,8 +31,6 @@ from .expansion import (
 from .legseries import LegendreSeries, legendre_eval, legendre_values
 from .piecewise import PiecewisePoly, coeff_distance
 from .projection import (
-    CellGrid,
-    kappa,
     project_legendre,
     project_step,
     sobolev_project_legendre,
@@ -58,8 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticFunction",
     "AxisGrading",
-    "AxisOperator",
-    "CellGrid",
     "FIGURES",
     "FaceSpec",
     "HyperRect",
@@ -85,7 +80,6 @@ __all__ = [
     "fund_int_pair",
     "get_example",
     "integrate",
-    "kappa",
     "l2_error",
     "l2_norm",
     "lattice_size",

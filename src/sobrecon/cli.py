@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="results")
     p.add_argument("--degrees", default=None, help="comma-separated degree sweep")
     p.add_argument("--cells", default=None, help="comma-separated cell-count sweep")
-    p.add_argument("--seed", type=int, default=42)
     _add_quad_flags(p)
     p.set_defaults(func=cmd_reproduce)
 

@@ -52,17 +52,6 @@ def meet(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
     return tuple(min(a, b) for a, b in zip(alpha, beta))
 
 
-def index_add(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
-def index_sub(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
-    out = tuple(a - b for a, b in zip(alpha, beta))
-    if any(a < 0 for a in out):
-        raise ValueError(f"difference {out} has negative entries")
-    return out
-
-
 def lattice_size(delta: Sequence[int]) -> int:
     """Number of multi-indices alpha with 0 <= alpha <= delta."""
     return math.prod(d + 1 for d in as_multiindex(delta))

@@ -31,6 +31,7 @@ from .core import (
     active_axes,
     as_multiindex,
     face_spec,
+    leq,
     multiindex_range,
 )
 from .legseries import LegendreSeries
@@ -40,51 +41,25 @@ from .piecewise import PiecewisePoly, sum_terms
 Trace = PiecewisePoly | LegendreSeries
 
 
-@dataclass(frozen=True)
-class AxisOperator:
-    """Single-axis factor of the reconstruction operator.
+def apply_tensor(alpha, delta, f: Trace) -> Trace:
+    """Apply the tensor-product operator of one lattice index alpha <= delta.
 
-    ``order`` is the derivative order alpha_i of the trace being lifted and
-    ``top`` the smoothness order delta_i of the expansion along this axis.
+    Per axis i, with a = alpha_i: multiplication by the kernel z^a/a! where
+    a < delta_i (the trace's face pins axis i), else the a-fold Volterra
+    integral, which on polynomials is a-fold exact antidifferentiation
+    (Cauchy) and for a = 0 is the identity.
     """
-
-    axis: int
-    order: int
-    top: int
-
-    def __post_init__(self):
-        if not 0 <= self.order <= self.top:
-            raise ValueError(f"need 0 <= order <= top, got {self.order}, {self.top}")
-
-    @property
-    def mode(self) -> str:
-        if self.order < self.top:
-            return "multiplier"
-        return "volterra" if self.top > 0 else "identity"
-
-    def __call__(self, f: Trace) -> Trace:
-        mode = self.mode
-        if mode == "identity":
-            return f
-        if mode == "multiplier":
-            return f.multiply_kernel(self.axis, self.order)
-        out = f
-        for _ in range(self.order):  # Cauchy repeated integration
-            out = out.antiderivative(self.axis)
-        return out
-
-
-def tensor_operator(alpha, delta) -> tuple[AxisOperator, ...]:
     alpha = as_multiindex(alpha)
     delta = as_multiindex(delta, ndim=len(alpha))
-    return tuple(AxisOperator(i, a, d) for i, (a, d) in enumerate(zip(alpha, delta)))
-
-
-def apply_tensor(alpha, delta, f: Trace) -> Trace:
-    """Apply the full tensor-product operator for one lattice index."""
+    if not leq(alpha, delta):
+        raise ValueError(f"alpha={alpha} is not <= delta={delta}")
     out = f
-    for op in tensor_operator(alpha, delta):
-        out = op(out)
+    for axis, (a, d) in enumerate(zip(alpha, delta)):
+        if a < d:
+            out = out.multiply_kernel(axis, a)
+        else:
+            for _ in range(a):
+                out = out.antiderivative(axis)
     return out
 
 
@@ -218,11 +193,14 @@ def extract_traces_poly(u: PiecewisePoly, delta, tol: float = 1e-10) -> PolyTrac
 
 def fund_int_pair(k: int, top: int, v: PiecewisePoly, axis: int = 0):
     """Both sides of the one-axis integration identity used in the induction:
-    the antiderivative of the (k, top) lift equals the (k+1, top+1) lift."""
-    if not 0 <= k <= top:
-        raise ValueError(f"need 0 <= k <= top, got {k}, {top}")
-    lhs = AxisOperator(axis, k, top)(v).antiderivative(axis)
-    rhs = AxisOperator(axis, k + 1, top + 1)(v)
+    the antiderivative of the (k, top) lift equals the (k+1, top+1) lift;
+    apply_tensor rejects any k outside 0 <= k <= top."""
+
+    def on_axis(n):
+        return tuple(n if i == axis else 0 for i in range(v.ndim))
+
+    lhs = apply_tensor(on_axis(k), on_axis(top), v).antiderivative(axis)
+    rhs = apply_tensor(on_axis(k + 1), on_axis(top + 1), v)
     return lhs, rhs
 
 

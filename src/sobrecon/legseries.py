@@ -233,10 +233,6 @@ class LegendreSeries:
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def inner(self, other: "LegendreSeries") -> float:
-        degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
-        return float(np.sum(self.pad_to(degree).coeffs * other.pad_to(degree).coeffs))
-
     # ------------------------------------------------------------- conversion
 
     def to_piecewise(self, domain: HyperRect | None = None) -> PiecewisePoly:

@@ -14,7 +14,6 @@ Scalar traces (vertex values) pass through both projections unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +23,6 @@ from .expansion import PolyTraceBundle, reconstruct
 from .legseries import LegendreSeries, legendre_values
 from .piecewise import PiecewisePoly
 from .quadrature import QuadratureRule, grid_quadrature, grid_values, rule_for
-
-def kappa(degree, face) -> MultiIndex:
-    """Per-axis degree cap of a face projection: the requested degree on
-    active axes, zero on pinned ones."""
-    degree = as_multiindex(degree)
-    if len(face) != len(degree):
-        raise ValueError("face selector and degree have different lengths")
-    return tuple(d if b == 0 else 0 for d, b in zip(degree, face))
 
 
 def cell_edges(counts, ndim: int) -> tuple[tuple[float, ...], ...]:
@@ -75,56 +66,17 @@ def project_legendre(f, degree, rule: QuadratureRule | None = None) -> LegendreS
     return _legendre_from_grid(f, degree, axes, weights)
 
 
-@dataclass(frozen=True, eq=False)
-class CellGrid:
-    """Per-cell averages on the uniform grid: the step-function projection."""
-
-    counts: MultiIndex
-    values: np.ndarray
-
-    def __post_init__(self):
-        counts = as_multiindex(self.counts)
-        values = np.asarray(self.values, float)
-        if values.shape != counts:
-            raise ValueError(f"values shape {values.shape} != grid {counts}")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def cell_volume(self) -> float:
-        return math.prod(2.0 / k for k in self.counts)
-
-    def to_piecewise(self, positions=None, ndim: int | None = None) -> PiecewisePoly:
-        """Embed as a piecewise-constant polynomial on the hypercube; with
-        `positions`, the grid varies on those axes and is constant elsewhere."""
-        m = len(self.counts)
-        ndim = m if ndim is None else ndim
-        positions = tuple(range(m)) if positions is None else tuple(positions)
-        shape = [1] * ndim
-        for pos, k in zip(positions, self.counts):
-            shape[pos] = k
-        order = list(positions) + [i for i in range(ndim) if i not in positions]
-        values = np.transpose(
-            self.values.reshape(self.values.shape + (1,) * (ndim - m)),
-            np.argsort(order),
-        )
-        breaks = [np.array([])] * ndim
-        for pos, k in zip(positions, self.counts):
-            breaks[pos] = np.linspace(-1.0, 1.0, k + 1)[1:-1]
-        return PiecewisePoly.from_cell_values(
-            HyperRect.cube(ndim), tuple(breaks), values.reshape(shape)
-        )
-
-
-def project_step(f, counts, rule: QuadratureRule | None = None) -> CellGrid:
-    """Cell averages of f on the uniform grid: the L2-orthogonal projection
-    onto the span of the cell indicators."""
+def project_step(f, counts, rule: QuadratureRule | None = None) -> PiecewisePoly:
+    """Cell averages of f on the uniform grid, as the step function they
+    define: the L2-orthogonal projection onto the span of the cell indicators."""
     counts = as_multiindex(counts)
     m = len(counts)
+    cube, edges = HyperRect.cube(m), cell_edges(counts, m)
     rule = rule_for(ndim=m, base=rule or QuadratureRule(nodes=16, panels=8),
-                    extra_splits=cell_edges(counts, m))
-    axes, weights = grid_quadrature(HyperRect.cube(m), rule)
-    return CellGrid(counts, _cell_averages_from_grid(f, counts, axes, weights))
+                    extra_splits=edges)
+    axes, weights = grid_quadrature(cube, rule)
+    averages = _cell_averages_from_grid(f, counts, axes, weights)
+    return PiecewisePoly.from_cell_values(cube, edges, averages)
 
 
 # --------------------------------------------------------- order-gamma driver
@@ -185,11 +137,12 @@ def sobolev_project_step(u: AnalyticFunction, gamma, counts,
 
     def project_face(trace, axes, weights):
         act = trace.active
-        if not act:
-            return PiecewisePoly.constant(u.domain, float(trace.values))
-        face_counts = tuple(counts[i] for i in act)
-        averages = _cell_averages_from_grid(trace, face_counts, axes, weights)
-        return CellGrid(face_counts, averages).to_piecewise(act, nd)
+        # cell averages on the active axes, one cell along the pinned ones
+        face_counts = tuple(counts[i] if i in act else 1 for i in range(nd))
+        averages = _cell_averages_from_grid(
+            trace, tuple(counts[i] for i in act), axes, weights)
+        return PiecewisePoly.from_cell_values(
+            u.domain, cell_edges(face_counts, nd), averages.reshape(face_counts))
 
     return _project_traces(u, gamma, rule, project_face)
 

@@ -72,7 +72,7 @@ class QuadratureRule:
 
 
 def rule_for(u=None, *, ndim=None, base: QuadratureRule | None = None,
-             extra_splits=None, nodes=None, panels=None, grade=True,
+             extra_splits=None, nodes=None, panels=None,
              grade_ratio: float | None = None) -> QuadratureRule:
     """Concrete rule for a target function: splits at its breakpoints and
     geometric grading toward its singular points."""
@@ -88,7 +88,7 @@ def rule_for(u=None, *, ndim=None, base: QuadratureRule | None = None,
             splits[i] |= set(float(b) for b in u.breakpoints[i])
             sing = tuple(getattr(u, "singular_points", ((),) * ndim)[i])
             splits[i] |= set(float(s) for s in sing)
-            if grade and sing and grading[i] is None:
+            if sing and grading[i] is None:
                 if grade_ratio is None:
                     grading[i] = AxisGrading(center=float(sing[0]))
                 else:

@@ -247,12 +247,13 @@ def optimality_suite(seed: int = 42, trials: int = 50) -> list[CheckResult]:
 
     # L2 optimality of the step projection, 16 cells
     cells = (16,)
-    step_rule = rule_for(u1, extra_splits=projection.cell_edges(cells, 1))
+    edges = projection.cell_edges(cells, 1)
+    step_rule = rule_for(u1, extra_splits=edges)
     qk = projection.sobolev_project_step(u1, (0,), cells, step_rule)
     base = l2_error(u1, qk, dom1, step_rule)
     worst = -np.inf
     for _ in range(trials):
-        q = projection.CellGrid(cells, rng.standard_normal(cells)).to_piecewise()
+        q = PiecewisePoly.from_cell_values(dom1, edges, rng.standard_normal(cells))
         for eps in epsilons:
             err = l2_error(u1, qk + eps * q, dom1, step_rule)
             worst = max(worst, base - err)

@@ -6,7 +6,6 @@ import pytest
 
 from sobrecon.core import HyperRect, face_spec, multiindex_range
 from sobrecon.expansion import (
-    AxisOperator,
     PolyTraceBundle,
     apply_tensor,
     bundle_from,
@@ -28,30 +27,27 @@ def abs_poly():
     )
 
 
-class TestAxisOperator:
-    def test_modes(self):
-        assert AxisOperator(0, 1, 2).mode == "multiplier"
-        assert AxisOperator(0, 2, 2).mode == "volterra"
-        assert AxisOperator(0, 0, 0).mode == "identity"
+class TestApplyTensor:
+    def test_rejects_alpha_above_delta(self):
         with pytest.raises(ValueError):
-            AxisOperator(0, 3, 2)
+            apply_tensor((3,), (2,), abs_poly())
 
     def test_volterra_on_constant(self):
         dom = HyperRect((0.0,), (1.0,))
         one = PiecewisePoly.constant(dom, 1.0)
-        out = AxisOperator(0, 2, 2)(one)
+        out = apply_tensor((2,), (2,), one)
         assert out.allclose(PiecewisePoly.kernel(dom, 0, 2), 1e-14)  # s^2/2
 
     def test_multiplier_on_constant(self):
         dom = HyperRect((0.5,), (2.0,))
         c = PiecewisePoly.constant(dom, 3.0)
-        out = AxisOperator(0, 1, 2)(c)
+        out = apply_tensor((1,), (2,), c)
         for s in (0.5, 1.0, 2.0):
             assert out(s) == pytest.approx(3.0 * (s - 0.5))
 
     def test_identity(self):
         f = abs_poly()
-        assert AxisOperator(0, 0, 0)(f) is f
+        assert apply_tensor((0,), (0,), f) is f
 
 
 class TestReconstruct:

@@ -1,4 +1,5 @@
-"""No sobrecon module reaches into another module's `_`-prefixed names.
+"""No sobrecon module reaches into another module's `_`-prefixed names, and
+every name in `sobrecon.__all__` exists.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -102,3 +103,9 @@ def test_detector_flags_imports_and_attribute_reads():
 def test_detector_allows_own_private_names():
     source = "from .quadrature import _check_finite\n"
     assert private_uses(source, "sobrecon.quadrature") == []
+
+
+def test_all_exports_resolve():
+    missing = [name for name in sobrecon.__all__ if not hasattr(sobrecon, name)]
+    assert not missing, missing
+    assert len(set(sobrecon.__all__)) == len(sobrecon.__all__)

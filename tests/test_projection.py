@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from sobrecon.analytic import get_example
-from sobrecon.core import multiindex_range
+from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.expansion import extract_traces_poly
 from sobrecon.legseries import LegendreSeries
+from sobrecon.piecewise import PiecewisePoly
 from sobrecon.projection import (
-    CellGrid,
     cell_edges,
-    kappa,
     project_legendre,
     project_step,
     sobolev_project_legendre,
@@ -18,13 +17,6 @@ from sobrecon.projection import (
 )
 from sobrecon.quadrature import l2_error, rule_for
 from sobrecon.targets import v_derivative
-
-
-class TestKappa:
-    def test_cases(self):
-        assert kappa((4, 7), (-1, 0)) == (0, 7)
-        assert kappa((4, 7), (0, 0)) == (4, 7)
-        assert kappa((4, 7), (-1, -1)) == (0, 0)
 
 
 class TestLegendreProjection:
@@ -55,25 +47,23 @@ class TestLegendreProjection:
 
 class TestStepProjection:
     def test_linear_two_cells(self):
-        grid = project_step(lambda x: x, (2,))
-        assert np.allclose(grid.values, [-0.5, 0.5], atol=1e-14)
+        step = project_step(lambda x: x, (2,))
+        assert np.allclose(step.coeffs.reshape(-1), [-0.5, 0.5], atol=1e-14)
 
     def test_constant_passthrough(self):
-        grid = project_step(lambda x, y: 3.0 + 0 * x + 0 * y, (2, 3))
-        assert np.allclose(grid.values, 3.0, atol=1e-14)
+        step = project_step(lambda x, y: 3.0 + 0 * x + 0 * y, (2, 3))
+        assert np.allclose(step.coeffs.reshape(-1), 3.0, atol=1e-14)
 
     def test_step_derivative_of_example2_aligned_cells(self):
-        grid = project_step(lambda x: v_derivative(3, x), (4,))
-        assert np.allclose(grid.values, [1.0, -1.0, -1.0, 1.0], atol=1e-13)
+        step = project_step(lambda x: v_derivative(3, x), (4,))
+        assert np.allclose(step.coeffs.reshape(-1), [1.0, -1.0, -1.0, 1.0], atol=1e-13)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        grid = CellGrid((8,), rng.standard_normal(8))
-        again = project_step(grid.to_piecewise(), (8,))
-        assert np.allclose(again.values, grid.values, atol=1e-13)
-
-    def test_cell_volume(self):
-        assert CellGrid((4, 2), np.zeros((4, 2))).cell_volume == pytest.approx(0.5)
+        values = rng.standard_normal(8)
+        step = PiecewisePoly.from_cell_values(HyperRect.cube(1), cell_edges((8,), 1), values)
+        again = project_step(step, (8,))
+        assert np.allclose(again.coeffs.reshape(-1), values, atol=1e-13)
 
 
 class TestSobolevLegendre:
@@ -86,7 +76,8 @@ class TestSobolevLegendre:
 
     def test_reproduces_polynomials(self):
         u = get_example("poly-random", seed=5, ndim=2, delta=(2, 1), degree_margin=1)
-        # degrees (3, 2) <= kappa degrees, so the reconstruction is exact
+        # u has degree (3, 2), so each trace is reproduced exactly by its
+        # projection at degree (3, 2) on the face's active axes
         recon = sobolev_project_legendre(u, (2, 1), (3, 2))
         xs = np.linspace(-1, 1, 9)
         got = recon.eval_grid([xs, xs])
@@ -144,7 +135,7 @@ class TestSobolevStep:
         qk = sobolev_project_step(u, (0,), (8,))
         direct = project_step(u, (8,), rule_for(u))
         got = extract_traces_poly(qk, (0,)).entries[(0,)]
-        assert got.allclose(direct.to_piecewise(), 1e-12)
+        assert got.allclose(direct, 1e-12)
 
     def test_exact_recovery_of_example2(self):
         w = get_example("example2-2d")
@@ -164,7 +155,7 @@ class TestSobolevStep:
         bundle = extract_traces_poly(qk, gamma)
         rule = rule_for(u, extra_splits=cell_edges(cells, 1))
         top = project_step(u.boundary_trace((3,), gamma), cells, rule)
-        assert bundle.entries[(3,)].allclose(top.to_piecewise(), 1e-10)
+        assert bundle.entries[(3,)].allclose(top, 1e-10)
 
     def test_single_cell_reconstruction_formula(self):
         # K=1, gamma=delta: Taylor-like sum of exact corner derivatives plus
