@@ -35,6 +35,9 @@ class AnalyticFunction:
     function itself.  ``breakpoints`` lists interior points per axis where
     some derivative loses smoothness; ``singular_points`` the subset where a
     derivative is unbounded (quadrature grades its panels toward these).
+    ``piece_degree``, when given, states that the function is a polynomial
+    of at most that degree per axis between its breakpoints, so its error
+    norms can be integrated exactly by degree-sized Gauss rules.
     """
 
     domain: HyperRect
@@ -43,6 +46,7 @@ class AnalyticFunction:
     breakpoints: tuple[tuple[float, ...], ...] = ()
     singular_points: tuple[tuple[float, ...], ...] = ()
     name: str = ""
+    piece_degree: MultiIndex | None = None
 
     def __post_init__(self):
         delta = as_multiindex(self.delta, ndim=self.domain.ndim)
@@ -71,6 +75,9 @@ class AnalyticFunction:
                     raise ValueError(f"breakpoint {x} not strictly inside axis {i}")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "singular_points", sp)
+        if self.piece_degree is not None:
+            object.__setattr__(self, "piece_degree",
+                               as_multiindex(self.piece_degree, ndim=nd))
 
     def __call__(self, *coords):
         return self.derivatives[(0,) * self.domain.ndim](*coords)

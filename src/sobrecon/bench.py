@@ -69,37 +69,55 @@ def error_norms(u: AnalyticFunction, approx, order, rule) -> tuple[float, float,
     return l2, s, w
 
 
-def _norm_rule(u: AnalyticFunction, extra_splits=None, panels=None,
-               grade_ratio=None) -> QuadratureRule:
+def norm_rule(u: AnalyticFunction, approx, extra_splits=None, panels=None,
+              grade_ratio=None) -> QuadratureRule:
+    """Quadrature rule for the error norms of `approx` against `u`.
+
+    `extra_splits` are the approximant's cell edges (None for a global
+    polynomial).  When `u` declares `piece_degree`, (D^alpha (u - approx))^2
+    is a polynomial of degree at most 2 * max(deg u, deg approx) on each
+    cell of the common refinement, so max(deg u, deg approx) + 1 Gauss
+    nodes on each cell (`panels` subdivides further) integrate it exactly
+    up to rounding.  Other targets get a flat 16-node rule on 32 (1-D) or
+    16 (otherwise) baseline panels per axis."""
+    if u.piece_degree is not None:
+        nodes = max(max(u.piece_degree), max(approx.degree)) + 1
+        return rule_for(u, extra_splits=extra_splits, nodes=nodes,
+                        panels=panels or 1, grade_ratio=grade_ratio)
     if panels is None:
         panels = 32 if u.domain.ndim == 1 else 16
     return rule_for(u, extra_splits=extra_splits, panels=panels,
                     grade_ratio=grade_ratio)
 
 
-def sweep_point(u: AnalyticFunction, method: str, gamma, param: int,
-                norm_order=None, nodes=None, panels=None, grade_ratio=None):
-    """Build one approximant and return (l2, s, w, runtime_seconds)."""
+def approximant(u: AnalyticFunction, method: str, gamma, param: int,
+                nodes=None, grade_ratio=None):
+    """The order-`gamma` projection of `u` at one sweep parameter, and its
+    cell edges (None for a Legendre series)."""
     nd = u.domain.ndim
     gamma = as_multiindex(gamma, ndim=nd)
-    norm_order = u.delta if norm_order is None else as_multiindex(norm_order, ndim=nd)
-    start = time.perf_counter()
     if method == "legendre":
         degree = (int(param),) * nd
         proj_rule = rule_for(u, nodes=nodes or max(16, param + 8), panels=4,
                              grade_ratio=grade_ratio)
-        approx = sobolev_project_legendre(u, gamma, degree, proj_rule)
-        rule = _norm_rule(u, panels=panels, grade_ratio=grade_ratio)
-    elif method == "step":
+        return sobolev_project_legendre(u, gamma, degree, proj_rule), None
+    if method == "step":
         counts = (int(param),) * nd
-        proj_rule = rule_for(u, nodes=nodes or 16, panels=4,
-                             extra_splits=cell_edges(counts, nd),
+        edges = cell_edges(counts, nd)
+        proj_rule = rule_for(u, nodes=nodes or 16, panels=4, extra_splits=edges,
                              grade_ratio=grade_ratio)
-        approx = sobolev_project_step(u, gamma, counts, proj_rule)
-        rule = _norm_rule(u, extra_splits=cell_edges(counts, nd), panels=panels,
-                          grade_ratio=grade_ratio)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'legendre' or 'step'")
+        return sobolev_project_step(u, gamma, counts, proj_rule), edges
+    raise ValueError(f"unknown method {method!r}; use 'legendre' or 'step'")
+
+
+def sweep_point(u: AnalyticFunction, method: str, gamma, param: int,
+                norm_order=None, nodes=None, panels=None, grade_ratio=None):
+    """Build one approximant and return (l2, s, w, runtime_seconds)."""
+    nd = u.domain.ndim
+    norm_order = u.delta if norm_order is None else as_multiindex(norm_order, ndim=nd)
+    start = time.perf_counter()
+    approx, edges = approximant(u, method, gamma, param, nodes, grade_ratio)
+    rule = norm_rule(u, approx, edges, panels, grade_ratio)
     l2, s, w = error_norms(u, approx, norm_order, rule)
     return l2, s, w, time.perf_counter() - start
 
@@ -121,7 +139,7 @@ def run_sweep(u: AnalyticFunction, method: str, gamma, params,
             row = sweep_point(u, method, gamma, param, norm_order, nodes, panels,
                               grade_ratio)
         except Exception as exc:  # noqa: BLE001 - failures are data here
-            result.failures.append((param, str(exc)))
+            result.failures.append((param, f"{type(exc).__name__}: {exc}"))
             row = (math.nan, math.nan, math.nan, math.nan)
         l2, s, w, dt = row
         result.l2.append(l2)

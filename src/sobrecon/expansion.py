@@ -101,7 +101,13 @@ class PolyTraceBundle:
 
     def norm(self) -> float:
         """Root-sum-of-squares of the face L2 norms of all traces, each
-        integrated by a Gauss rule that is exact for its degree."""
+        integrated by a Gauss rule that is exact for its degree.  Needs
+        PiecewisePoly entries."""
+        kinds = {type(e).__name__ for e in self.entries.values()
+                 if not isinstance(e, PiecewisePoly)}
+        if kinds:
+            raise ValueError(f"the exact bundle norm needs PiecewisePoly entries, "
+                             f"got {', '.join(sorted(kinds))}")
         total = 0.0
         for alpha in multiindex_range(self.order):
             face = face_spec(alpha, self.order)

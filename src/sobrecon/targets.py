@@ -63,15 +63,17 @@ def example1() -> AnalyticFunction:
 _V_LEFT = Polynomial([-1 / 6, 5 / 6, 1 / 2, 1 / 6])
 _V_MID = Polynomial([-5 / 24, 7 / 12, 0.0, -1 / 6])
 _V_RIGHT = Polynomial([-1 / 4, 5 / 6, -1 / 2, 1 / 6])
+# _V_DERIVS[k]: the three branches of the k-th derivative of v.
+_V_DERIVS = [tuple(b if k == 0 else b.deriv(k) for b in (_V_LEFT, _V_MID, _V_RIGHT))
+             for k in range(4)]
 
 
 def v_derivative(k: int, x):
     """k-th derivative of the piecewise cubic factor v (k <= 3)."""
+    if not 0 <= k <= 3:
+        raise ValueError(f"v has derivatives of order 0..3, got {k}")
     x = np.asarray(x, float)
-    branches = []
-    for b in (_V_LEFT, _V_MID, _V_RIGHT):
-        branches.append((b if k == 0 else b.deriv(k))(x))
-    left, mid, right = branches
+    left, mid, right = (b(x) for b in _V_DERIVS[k])
     return np.where(x < -0.5, left, np.where(np.abs(x) <= 0.5, mid, right))
 
 
@@ -91,6 +93,7 @@ def example2() -> AnalyticFunction:
         breakpoints=((-0.5, 0.5), (-0.5, 0.5)),
         singular_points=((), ()),
         name="example2-2d",
+        piece_degree=(3, 3),
     )
 
 
@@ -113,6 +116,7 @@ def random_poly_function(seed: int = 0, ndim: int = 1, delta=(2,),
         delta=delta,
         derivatives=derivatives,
         name=f"poly-random(seed={seed})",
+        piece_degree=degrees,
     )
 
 

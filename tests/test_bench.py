@@ -1,16 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sobrecon.analytic import get_example
+from sobrecon.analytic import AnalyticFunction, get_example
 from sobrecon.bench import (
     SweepResult,
+    approximant,
+    error_norms,
     fit_slope,
     monotone_ratio_ok,
+    norm_rule,
     run_sweep,
     sweep_point,
 )
+from sobrecon.core import HyperRect
+from sobrecon.quadrature import grid_quadrature, rule_for
 
 
 def synthetic_result(params, errors):
@@ -88,12 +94,52 @@ class TestSweep:
 
     def test_failures_recorded_and_sweep_continues(self):
         u = get_example("example1-1d")
-        # gamma exceeding delta fails inside every point
         r = run_sweep(u, "step", (0,), [2, 4, 8])
         assert not r.failures
+        # an unknown method fails inside every point
         bad = run_sweep(u, "bogus-method", (0,), [2, 4])
         assert len(bad.failures) == 2
         assert all(math.isnan(v) for v in bad.l2)
+        assert all(msg.startswith("ValueError: ") for _, msg in bad.failures)
+
+
+class TestDegreeSizedNormRule:
+    """Targets that declare `piece_degree` get error norms from one Gauss
+    panel per cell with max(deg u, deg approx) + 1 nodes: exact up to
+    rounding, so refining the rule must not move them."""
+
+    def test_declarations(self):
+        assert get_example("example1-1d").piece_degree is None  # D^5 is singular
+        assert get_example("example2-2d").piece_degree == (3, 3)
+        with pytest.raises(ValueError, match="expected 1 entries"):
+            AnalyticFunction(HyperRect.cube(1), (0,), {(0,): lambda x: x},
+                             piece_degree=(1, 1))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_random_polynomial_declares_its_degree(self, seed, ndim):
+        u = get_example("poly-random", seed=seed, ndim=ndim, delta=(2,) * ndim)
+        p = u.derivatives[(0,) * ndim]
+        assert np.any(p.mixed_derivative(u.piece_degree).coeffs)
+        for axis in range(ndim):
+            over = tuple(d + 1 if i == axis else 0 for i, d in enumerate(u.piece_degree))
+            assert not np.any(p.mixed_derivative(over).coeffs)
+
+    @pytest.mark.parametrize("method, gamma, param", [
+        ("legendre", (3, 3), 32), ("legendre", (0, 0), 32), ("step", (2, 2), 64)])
+    def test_matches_finer_and_flat_rules(self, method, gamma, param):
+        u = get_example("example2-2d")
+        approx, edges = approximant(u, method, gamma, param)
+        rule = norm_rule(u, approx, edges)
+        flat = rule_for(u, extra_splits=edges, panels=16)
+        axis_nodes = [len(grid_quadrature(u.domain, r)[0][0]) for r in (rule, flat)]
+        assert axis_nodes[0] < axis_nodes[1]
+        got = error_norms(u, approx, u.delta, rule)
+        finer = dataclasses.replace(rule, nodes=rule.nodes + 8)
+        np.testing.assert_allclose(got, error_norms(u, approx, u.delta, finer),
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got, error_norms(u, approx, u.delta, flat),
+                                   rtol=1e-10, atol=0)
 
 
 def test_csv_roundtrip(tmp_path):

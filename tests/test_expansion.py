@@ -130,6 +130,12 @@ class TestBundleNorm:
             norm = PolyTraceBundle(order, entries).norm()
             assert norm == pytest.approx(np.linalg.norm(c) / np.sqrt(2.0), rel=1e-10), seed
 
+    def test_legendre_entries_rejected(self):
+        bundle = PolyTraceBundle((1,), {(0,): LegendreSeries.constant(1.0, 1),
+                                        (1,): LegendreSeries.constant(2.0, 1)})
+        with pytest.raises(ValueError, match="needs PiecewisePoly entries, got LegendreSeries"):
+            bundle.norm()
+
 
 class TestExtract:
     def test_monomial_traces(self):
