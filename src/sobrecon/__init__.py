@@ -28,7 +28,7 @@ from .expansion import (
     fund_int_pair,
     reconstruct,
 )
-from .legseries import LegendreSeries, legendre_eval, legendre_values
+from .legseries import LegendreSeries, legendre_values
 from .piecewise import PiecewisePoly, coeff_distance
 from .projection import (
     project_legendre,
@@ -83,7 +83,6 @@ __all__ = [
     "l2_error",
     "l2_norm",
     "lattice_size",
-    "legendre_eval",
     "legendre_values",
     "multiindex_range",
     "project_legendre",

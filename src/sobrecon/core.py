@@ -47,11 +47,6 @@ def leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(alpha, beta))
 
 
-def meet(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
-    """Componentwise minimum."""
-    return tuple(min(a, b) for a, b in zip(alpha, beta))
-
-
 def lattice_size(delta: Sequence[int]) -> int:
     """Number of multi-indices alpha with 0 <= alpha <= delta."""
     return math.prod(d + 1 for d in as_multiindex(delta))
@@ -120,6 +115,16 @@ class HyperRect:
             for p, a, b in zip(point, self.lo, self.hi)
         )
 
+    def check_inside(self, axis: int, x: np.ndarray):
+        """Raise ValueError if any coordinate in `x` lies outside [lo, hi] on
+        `axis` by more than 1e-12 of the axis width."""
+        lo, hi = self.lo[axis], self.hi[axis]
+        tol = 1e-12 * (hi - lo)
+        bad = (x < lo - tol) | (x > hi + tol)
+        if np.any(bad):
+            where = np.asarray(x)[bad].reshape(-1)[0]
+            raise ValueError(f"point outside domain on axis {axis}: {where!r} not in [{lo}, {hi}]")
+
     @classmethod
     def cube(cls, ndim: int, lo: float = -1.0, hi: float = 1.0) -> "HyperRect":
         return cls((lo,) * ndim, (hi,) * ndim)
@@ -168,3 +173,39 @@ class TraceFunction:
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         shape = tuple(len(a) for a in axes)
         return np.broadcast_to(np.asarray(self.values(*grids), float), shape)
+
+
+class _FaceView:
+    """A function on the full domain read as a function of a face's active
+    axes, with every other axis pinned at its lower endpoint.  `f` needs
+    only ndim, domain, eval_grid and __call__."""
+
+    def __init__(self, f, active: tuple[int, ...]):
+        self.f = f
+        self.active = active
+
+    def eval_grid(self, axes) -> np.ndarray:
+        it = iter(axes)
+        full = [next(it) if i in self.active else np.array([self.f.domain.lo[i]])
+                for i in range(self.f.ndim)]
+        drop = tuple(i for i in range(self.f.ndim) if i not in self.active)
+        values = self.f.eval_grid(full)
+        return np.squeeze(values, axis=drop) if drop else values
+
+    def __call__(self, *coords):
+        it = iter(coords)
+        return self.f(*[next(it) if i in self.active else self.f.domain.lo[i]
+                        for i in range(self.f.ndim)])
+
+
+def boundary_trace(f, alpha, order) -> TraceFunction:
+    """Trace of D^alpha f on the face it lives on in an order-`order`
+    expansion: f.mixed_derivative(alpha) read at the lower endpoint of each
+    pinned axis (at domain.lo for a vertex face)."""
+    alpha = as_multiindex(alpha, ndim=f.ndim)
+    face = face_spec(alpha, order)
+    derivative = f.mixed_derivative(alpha)
+    active = active_axes(face)
+    if not active:
+        return TraceFunction(face, float(derivative(*f.domain.lo)))
+    return TraceFunction(face, _FaceView(derivative, active))

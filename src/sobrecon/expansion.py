@@ -11,7 +11,10 @@ Trace functions are carried on the full domain, constant along their
 face-inactive axes (the constant extension the tensor operators act on), as
 PiecewisePoly values or as LegendreSeries on the standard hypercube.  Both
 supply the two calculus maps the operators need, multiply_kernel and
-antiderivative, so one reconstruction serves both representations.
+antiderivative, so one reconstruction serves both representations.  The way
+back, extract_traces_poly, and the exact bundle norm take PiecewisePoly only;
+a LegendreSeries gives its traces one at a time through boundary_trace,
+which is how dc_error measures a Legendre approximant.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class PolyTraceBundle:
 
     One trace per lattice index alpha <= order, each constant along its
     face-inactive axes; all PiecewisePoly or all LegendreSeries.  The exact
-    norm and bundle_from need PiecewisePoly entries.
+    norm and bundle_from need PiecewisePoly entries; the norm of a
+    LegendreSeries bundle is dc_norm of its reconstruction, by quadrature.
     """
 
     order: MultiIndex

@@ -16,11 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EINSUM_LETTERS, HyperRect, MultiIndex, as_multiindex
-from .piecewise import PiecewisePoly
-
-#: Highest axis degree to_piecewise converts; see its docstring.
-_MAX_PIECEWISE_DEGREE = 12
+from .core import (
+    EINSUM_LETTERS,
+    HyperRect,
+    MultiIndex,
+    TraceFunction,
+    as_multiindex,
+    boundary_trace,
+)
 
 
 def _scale(n: int) -> np.ndarray:
@@ -39,15 +42,6 @@ def legendre_values(max_degree: int, x, normalized: bool = True) -> np.ndarray:
     if normalized:
         out *= _scale(max_degree + 1)[:, None]
     return out
-
-
-def legendre_eval(d, point) -> float:
-    """Normalized tensor basis function at one point of the hypercube."""
-    d = as_multiindex(d)
-    value = 1.0
-    for di, x in zip(d, point):
-        value *= legendre_values(di, np.array([x]))[di, 0]
-    return float(value)
 
 
 @lru_cache(maxsize=None)
@@ -82,17 +76,6 @@ def _derivative_matrix(n: int) -> np.ndarray:
         for j in range(k - 1, -1, -2):
             m[j, k] = 2 * j + 1.0
     return m * _scale(n)[None, :] / _scale(rows)[:, None]
-
-
-@lru_cache(maxsize=None)
-def _corner_derivative_matrix(rows: int, n: int) -> np.ndarray:
-    """T[p, k] = p-th derivative of the normalized degree-k factor at -1."""
-    m = np.zeros((rows, n))
-    for k in range(n):
-        for p in range(min(k, rows - 1) + 1):
-            val = math.factorial(k + p) / (2**p * math.factorial(p) * math.factorial(k - p))
-            m[p, k] = (-1.0) ** ((k + p) % 2) * val
-    return m * _scale(n)[None, :]
 
 
 def _apply_axis(coeffs: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -136,17 +119,24 @@ class LegendreSeries:
     def eval_grid(self, axes) -> np.ndarray:
         if len(axes) != self.ndim:
             raise ValueError(f"expected {self.ndim} axis arrays")
+        domain = self.domain
         ops, subs = [self.coeffs], [EINSUM_LETTERS[: self.ndim]]
         out = EINSUM_LETTERS[self.ndim: 2 * self.ndim]
         for i, x in enumerate(axes):
+            domain.check_inside(i, np.asarray(x, float))
             ops.append(legendre_values(self.degree[i], x))
             subs.append(EINSUM_LETTERS[i] + out[i])
         return np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
 
     def __call__(self, *coords):
+        if len(coords) != self.ndim:
+            raise TypeError(f"expected {self.ndim} coordinates, got {len(coords)}")
         arrs = np.broadcast_arrays(*[np.asarray(c, float) for c in coords])
         shape = arrs[0].shape
         flat = [a.reshape(-1) for a in arrs]
+        domain = self.domain
+        for i, x in enumerate(flat):
+            domain.check_inside(i, x)
         ops, subs = [self.coeffs], [EINSUM_LETTERS[: self.ndim]]
         for i in range(self.ndim):
             ops.append(legendre_values(self.degree[i], flat[i]))  # (d+1, M)
@@ -186,6 +176,10 @@ class LegendreSeries:
 
     def derivative_grid(self, alpha, axes) -> np.ndarray:
         return self.mixed_derivative(alpha).eval_grid(axes)
+
+    def boundary_trace(self, alpha, order) -> TraceFunction:
+        """Trace of D^alpha on the face it lives on in an order-`order` expansion."""
+        return boundary_trace(self, alpha, order)
 
     # -------------------------------------------------------------- algebra
 
@@ -232,31 +226,3 @@ class LegendreSeries:
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    # ------------------------------------------------------------- conversion
-
-    def to_piecewise(self, domain: HyperRect | None = None) -> PiecewisePoly:
-        """Conversion to a single-cell PiecewisePoly, exact in exact arithmetic.
-
-        The corner-monomial basis of PiecewisePoly is ill-conditioned from low
-        degree on, so any axis degree above 12 is refused.  For ``f =
-        LegendreSeries(default_rng(0).standard_normal(d + 1))`` and ``p =
-        f.to_piecewise()``, max |p(x) - f(x)| / max |f(x)| over 41 equispaced
-        x in [-1, 1] is 1.1e-11 at d=8, 5.3e-10 at d=11 and 2.1e-8 at d=12;
-        past the limit it grows to 7.4e-7 at d=16 and 1.8 at d=24.
-        """
-        domain = domain or self.domain
-        if domain != HyperRect.cube(self.ndim):
-            raise ValueError("series live on the standard hypercube")
-        if max(self.degree) > _MAX_PIECEWISE_DEGREE:
-            raise ValueError(
-                f"degree {self.degree} is above {_MAX_PIECEWISE_DEGREE}, where the "
-                "corner-monomial basis of PiecewisePoly loses too many digits (value "
-                "error already 2.1e-8 at degree 12)")
-        out = self.coeffs
-        for axis in range(self.ndim):
-            n = out.shape[axis]
-            out = _apply_axis(out, _corner_derivative_matrix(n, n), axis)
-        return PiecewisePoly(
-            domain, (np.array([]),) * self.ndim, out.reshape((1,) * self.ndim + out.shape)
-        )

@@ -265,12 +265,12 @@ def optimality_suite(seed: int = 42, trials: int = 50) -> list[CheckResult]:
     # within the polynomials of degree d + gamma
     gamma, d = (5,), (6,)
     proj_rule = rule_for(u1, nodes=d[0] + 14, panels=4)
-    pd = projection.sobolev_project_legendre(u1, gamma, d, proj_rule).to_piecewise()
+    pd = projection.sobolev_project_legendre(u1, gamma, d, proj_rule)
     base = dc_error(u1, pd, gamma, dom1, proj_rule)
     worst = -np.inf
     dplus = tuple(a + b for a, b in zip(d, gamma))
     for _ in range(trials):
-        q = projection.random_legendre_poly(rng, dplus).to_piecewise()
+        q = projection.random_legendre_poly(rng, dplus)
         for eps in epsilons:
             err = dc_error(u1, pd + eps * q, gamma, dom1, proj_rule)
             worst = max(worst, base - err)

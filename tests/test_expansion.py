@@ -17,6 +17,8 @@ from sobrecon.expansion import (
 )
 from sobrecon.legseries import LegendreSeries
 from sobrecon.piecewise import PiecewisePoly, coeff_distance
+from sobrecon.projection import project_legendre
+from sobrecon.quadrature import QuadratureRule
 from sobrecon.verify import random_domain, random_tensor_poly, random_trace_bundle
 
 
@@ -57,7 +59,7 @@ class TestReconstruct:
         mapping = {a: 0.0 for a in multiindex_range((2, 1))}
         mapping[(2, 1)] = 2.0
         u = reconstruct(bundle_from((2, 1), mapping, dom))
-        target = 2.0 * PiecewisePoly.kernel(dom, 0, 2) * PiecewisePoly.kernel(dom, 1, 1)
+        target = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
         assert u.allclose(target, 1e-13)
 
     def test_order_zero_is_identity(self):
@@ -87,16 +89,17 @@ class TestReconstruct:
         # the same operator on both trace representations
         rng = np.random.default_rng(11)
         order = (2, 1)
+        dom = HyperRect.cube(2)
         entries = {}
         for alpha in multiindex_range(order):
             face = face_spec(alpha, order)
-            shape = tuple(int(rng.integers(1, 5)) + 1 if b == 0 else 1 for b in face)
-            entries[alpha] = LegendreSeries(rng.standard_normal(shape))
-        from_series = reconstruct(PolyTraceBundle(order, entries))
-        from_poly = reconstruct(PolyTraceBundle(
-            order, {a: e.to_piecewise() for a, e in entries.items()}))
+            degree = tuple(int(rng.integers(1, 5)) if b == 0 else 0 for b in face)
+            entries[alpha] = random_tensor_poly(rng, dom, degree)
+        from_poly = reconstruct(PolyTraceBundle(order, entries))
+        from_series = reconstruct(PolyTraceBundle(order, {
+            a: project_legendre(e, e.degree, QuadratureRule(nodes=5, panels=1))
+            for a, e in entries.items()}))
         assert isinstance(from_series, LegendreSeries)
-        assert from_series.to_piecewise().allclose(from_poly, 1e-10)
         xs = np.linspace(-1, 1, 9)
         assert np.allclose(from_series.eval_grid([xs, xs]),
                            from_poly.eval_grid([xs, xs]), rtol=1e-10, atol=1e-10)
@@ -121,12 +124,12 @@ class TestBundleNorm:
         # the only nonzero trace lives on the face z = -1 of [-1, 1]^3; its
         # L2 norm there is |c| / sqrt(2), c its orthonormal Legendre coefficients
         order = (1, 1, 1)
+        cube = HyperRect.cube(3)
         for seed in range(5):
-            c = np.random.default_rng(seed).standard_normal((7, 6, 1))
-            entries = {a: PiecewisePoly.constant(HyperRect.cube(3), 0.0)
-                       for a in multiindex_range(order)}
-            entries[(1, 1, 0)] = LegendreSeries(c).to_piecewise()
-            assert entries[(1, 1, 0)].degree == (6, 5, 0)
+            entries = {a: PiecewisePoly.constant(cube, 0.0) for a in multiindex_range(order)}
+            e = random_tensor_poly(np.random.default_rng(seed), cube, (6, 5, 0))
+            entries[(1, 1, 0)] = e
+            c = project_legendre(e, e.degree, QuadratureRule(nodes=7, panels=1)).coeffs
             norm = PolyTraceBundle(order, entries).norm()
             assert norm == pytest.approx(np.linalg.norm(c) / np.sqrt(2.0), rel=1e-10), seed
 
@@ -140,7 +143,7 @@ class TestBundleNorm:
 class TestExtract:
     def test_monomial_traces(self):
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-        u = 2.0 * PiecewisePoly.kernel(dom, 0, 2) * PiecewisePoly.kernel(dom, 1, 1)
+        u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
         bundle = extract_traces_poly(u, (2, 1))
         for alpha in multiindex_range((2, 1)):
             e = bundle.entries[alpha]
@@ -209,7 +212,7 @@ class TestFundInt:
 def test_term_table_sums_to_value():
     # u(x,y) = x^2 y at (1,1): only the top summand contributes, value 1
     dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-    u = 2.0 * PiecewisePoly.kernel(dom, 0, 2) * PiecewisePoly.kernel(dom, 1, 1)
+    u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
     delta = (2, 1)
     total = 0.0
     for alpha in multiindex_range(delta):

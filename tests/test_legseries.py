@@ -2,14 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from sobrecon.core import HyperRect
-from sobrecon.legseries import LegendreSeries, legendre_eval, legendre_values
+from sobrecon.legseries import LegendreSeries, legendre_values
 from sobrecon.piecewise import PiecewisePoly
+from sobrecon.projection import project_legendre
+from sobrecon.quadrature import QuadratureRule
 
 
 def series_1d(coeffs):
     return LegendreSeries(np.asarray(coeffs, float))
+
+
+def standard(coeffs):
+    """Coefficients in numpy's (unnormalized) Legendre basis: each axis
+    scaled by sqrt(k + 1/2)."""
+    out = np.asarray(coeffs, float)
+    for axis, n in enumerate(out.shape):
+        shape = [1] * out.ndim
+        shape[axis] = n
+        out = out * np.sqrt(np.arange(n) + 0.5).reshape(shape)
+    return out
+
+
+def series_of_random_poly(rng, degree):
+    """A random one-cell PiecewisePoly on [-1, 1] and its Legendre series,
+    which a Gauss rule with degree + 1 nodes gives exactly."""
+    p = PiecewisePoly(HyperRect.cube(1), (np.array([]),), rng.standard_normal((1, degree + 1)))
+    return p, project_legendre(p, (degree,), QuadratureRule(nodes=degree + 1, panels=1))
 
 
 class TestBasis:
@@ -25,7 +46,7 @@ class TestBasis:
             pytest.approx(1.0)
 
     def test_normalization_constant(self):
-        assert legendre_eval((0,), (0.37,)) == pytest.approx(1 / math.sqrt(2))
+        assert legendre_values(0, [0.37])[0, 0] == pytest.approx(1 / math.sqrt(2))
 
     def test_high_degree_bounded(self):
         x = np.linspace(-1, 1, 400)
@@ -35,20 +56,19 @@ class TestBasis:
 
 class TestCalculusMaps:
     def test_antiderivative_vs_piecewise(self):
-        rng = np.random.default_rng(3)
-        f = series_1d(rng.standard_normal(6))
+        fp, f = series_of_random_poly(np.random.default_rng(3), 5)
         F = f.antiderivative(0)
-        fp = f.to_piecewise()
-        Fp = fp.antiderivative(0)
         xs = np.linspace(-1, 1, 17)
-        assert np.allclose(F(xs), Fp(xs), rtol=1e-12, atol=1e-12)
+        assert np.allclose(F(xs), fp.antiderivative(0)(xs), rtol=1e-12, atol=1e-12)
+        assert np.allclose(standard(F.coeffs), npleg.legint(standard(f.coeffs), lbnd=-1),
+                           rtol=1e-12, atol=1e-12)
         assert abs(F(-1.0)) < 1e-14  # vanishes at the lower boundary
 
     def test_derivative_vs_piecewise(self):
-        rng = np.random.default_rng(4)
-        f = series_1d(rng.standard_normal(8))
+        fp, f = series_of_random_poly(np.random.default_rng(4), 7)
         xs = np.linspace(-1, 1, 17)
-        assert np.allclose(f.derivative(0)(xs), f.to_piecewise().derivative(0)(xs),
+        assert np.allclose(f.derivative(0)(xs), fp.derivative(0)(xs), rtol=1e-11, atol=1e-11)
+        assert np.allclose(standard(f.derivative(0).coeffs), npleg.legder(standard(f.coeffs)),
                            rtol=1e-11, atol=1e-11)
 
     def test_kernel_multiplication(self):
@@ -80,7 +100,8 @@ class TestTensor:
     def test_parseval(self):
         rng = np.random.default_rng(8)
         f = LegendreSeries(rng.standard_normal((5, 4)))
-        quad = f.to_piecewise().inner(f.to_piecewise())
+        x, w = npleg.leggauss(5)  # exact for the degree-(8, 6) square
+        quad = np.sum(np.outer(w, w) * npleg.leggrid2d(x, x, standard(f.coeffs)) ** 2)
         assert f.l2_norm() ** 2 == pytest.approx(quad, rel=1e-11)
 
     def test_constant_extension(self):
@@ -100,33 +121,21 @@ class TestTensor:
     def test_mixed_derivative_grid(self):
         rng = np.random.default_rng(9)
         f = LegendreSeries(rng.standard_normal((5, 5)))
-        fp = f.to_piecewise()
         xs = np.linspace(-1, 1, 7)
         got = f.derivative_grid((2, 1), [xs, xs])
-        ref = fp.derivative_grid((2, 1), [xs, xs])
-        assert np.allclose(got, ref, rtol=1e-10, atol=1e-10)
+        c = npleg.legder(npleg.legder(standard(f.coeffs), 2, axis=0), 1, axis=1)
+        assert np.allclose(got, npleg.leggrid2d(xs, xs, c), rtol=1e-10, atol=1e-10)
 
 
-def test_to_piecewise_roundtrip_values():
-    rng = np.random.default_rng(10)
-    f = LegendreSeries(rng.standard_normal((9,)))
-    fp = f.to_piecewise()
-    xs = np.linspace(-1, 1, 33)
-    # monomial conversion at degree 8 carries ~1e6 cancellation, hence atol
-    assert np.allclose(f(xs), fp(xs), rtol=1e-12, atol=1e-9)
-    assert fp.domain == HyperRect.cube(1)
-    assert isinstance(fp, PiecewisePoly)
-
-
-def test_to_piecewise_refuses_degree_above_12():
-    rng = np.random.default_rng(12)
-    for shape in [(14,), (14, 5), (2, 14)]:
-        with pytest.raises(ValueError, match="above 12"):
-            LegendreSeries(rng.standard_normal(shape)).to_piecewise()
-
-
-def test_to_piecewise_converts_degree_12():
-    f = LegendreSeries(np.random.default_rng(0).standard_normal(13))
-    xs = np.linspace(-1, 1, 41)
-    err = np.max(np.abs(f.to_piecewise()(xs) - f(xs))) / np.max(np.abs(f(xs)))
-    assert err <= 1e-7  # 2.1e-8 measured, as the docstring states
+def test_evaluation_refuses_bad_points():
+    f = series_1d([1.0, 2.0])
+    with pytest.raises(TypeError, match="expected 1 coordinates, got 2"):
+        f(0.1, 0.5)
+    for bad in (lambda: f(3.0), lambda: f(np.array([0.0, -1.5])),
+                lambda: f.eval_grid([np.array([5.0])])):
+        with pytest.raises(ValueError, match="outside domain on axis 0"):
+            bad()
+    # within 1e-12 of the width outside, points are evaluated, not clipped
+    x = 1.0 + 1e-12
+    assert f(x) == legendre_values(1, [x])[:, 0] @ f.coeffs
+    assert f(-1.0) == pytest.approx(math.sqrt(0.5) - 2.0 * math.sqrt(1.5))

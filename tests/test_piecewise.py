@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from sobrecon.core import HyperRect
-from sobrecon.legseries import LegendreSeries
 from sobrecon.piecewise import PiecewisePoly, coeff_distance, sum_terms
+from sobrecon.projection import project_legendre
+from sobrecon.quadrature import QuadratureRule
 
 
 def two_cell_step(lo=-1.0, hi=1.0, split=0.0, left=-1.0, right=1.0):
@@ -20,6 +23,21 @@ def random_poly(rng, ndim=2, degree=(3, 2), n_breaks=(1, 2), domain=None):
     cells = tuple(n + 1 for n in n_breaks)
     coeffs = rng.standard_normal(cells + tuple(d + 1 for d in degree))
     return PiecewisePoly(domain, tuple(breaks), coeffs)
+
+
+def cell_gauss(edges, n):
+    """Nodes and weights of numpy's n-point Gauss-Legendre rule on every
+    cell between consecutive edges."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    a, b = np.asarray(edges)[:-1, None], np.asarray(edges)[1:, None]
+    return ((a + b) / 2 + (b - a) / 2 * t).ravel(), ((b - a) / 2 * w).ravel()
+
+
+def gauss_grid(fs, nodes):
+    """Per-axis Gauss nodes and weights on the common refinement of the
+    break grids of the polynomials `fs`."""
+    return zip(*(cell_gauss(np.unique(np.concatenate([f.edges(i) for f in fs])), nodes)
+                 for i in range(fs[0].ndim)))
 
 
 class TestEval:
@@ -71,9 +89,7 @@ class TestCalculus:
     def test_mixed_derivative_value(self):
         # f(x, y) = x^2 y on [0,1]^2; df/dx at (0.3, 0.7) = 2*0.3*0.7
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-        x2 = 2.0 * PiecewisePoly.kernel(dom, 0, 2)
-        y = PiecewisePoly.kernel(dom, 1, 1)
-        f = x2 * y
+        f = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
         assert f.derivative(0)(0.3, 0.7) == pytest.approx(0.42, rel=1e-14)
 
     def test_antiderivative_of_one(self):
@@ -115,7 +131,9 @@ class TestIntegrals:
 
     def test_step_squared_integral(self):
         f = two_cell_step()
-        assert (f * f).integral() == pytest.approx(2.0, rel=1e-15)
+        x, w = cell_gauss(f.edges(0), 1)
+        assert np.sum(w * f(x) ** 2) == pytest.approx(2.0, rel=1e-15)
+        assert f.inner(f) == pytest.approx(2.0, rel=1e-15)
 
     def test_inner_positive_definite(self):
         rng = np.random.default_rng(3)
@@ -126,10 +144,12 @@ class TestIntegrals:
         assert zero.inner(zero) == 0.0
 
     def test_inner_matches_parseval_across_seeds(self):
+        # a Gauss rule with degree + 1 nodes gives the Legendre coefficients
+        # of a polynomial exactly (up to rounding)
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            f = LegendreSeries(rng.standard_normal((5, 4)))
-            p = f.to_piecewise()
+            p = random_poly(rng, degree=(4, 3), n_breaks=(0, 0))
+            f = project_legendre(p, p.degree, QuadratureRule(nodes=5, panels=1))
             assert p.inner(p) == pytest.approx(f.l2_norm() ** 2, rel=1e-11), seed
 
     def test_inner_on_common_refinement_matches_product_integral(self):
@@ -137,23 +157,18 @@ class TestIntegrals:
         for trial in range(10):
             f = random_poly(rng, degree=tuple(rng.integers(0, 3, 2)), n_breaks=(2, 1))
             g = random_poly(rng, degree=tuple(rng.integers(0, 3, 2)), n_breaks=(1, 3))
+            (x, y), (wx, wy) = gauss_grid([f, g], nodes=3)
+            X, Y = np.meshgrid(x, y, indexing="ij")
+            expected = np.sum(np.outer(wx, wy) * f(X, Y) * g(X, Y))
             scale = np.sqrt(f.inner(f) * g.inner(g))
-            assert abs(f.inner(g) - (f * g).integral()) <= 1e-12 * scale, trial
-
-    def test_product_matches_pointwise(self):
-        rng = np.random.default_rng(11)
-        f = random_poly(rng, degree=(2, 3), n_breaks=(2, 1))
-        g = random_poly(rng, degree=(3, 1), n_breaks=(1, 2))
-        h = f * g
-        pts = rng.uniform(-1, 1, size=(100, 2))
-        for x, y in pts:
-            assert h(x, y) == pytest.approx(f(x, y) * g(x, y), rel=1e-12, abs=1e-12)
+            assert abs(f.inner(g) - expected) <= 1e-12 * scale, trial
 
     def test_inner_over_face_axes(self):
         rng = np.random.default_rng(4)
         f = random_poly(rng, degree=(3, 0), n_breaks=(2, 0))
         g = random_poly(rng, degree=(2, 0), n_breaks=(1, 0))
-        expected = (f * g).integral(axes=(0,))
+        (x, _), (w, _) = gauss_grid([f, g], nodes=3)
+        expected = np.sum(w * f(x, -1.0) * g(x, -1.0))
         assert f.inner(g, axes=(0,)) == pytest.approx(expected, rel=1e-13)
         with pytest.raises(ValueError, match="axis 0 must be constant"):
             f.inner(g, axes=(1,))
@@ -163,9 +178,8 @@ class TestIntegrals:
         f = PiecewisePoly.kernel(dom, 0, 1)
         # constant along axis 1, so integrating axis 0 alone is fine
         assert f.integral(axes=(0,)) == pytest.approx(2.0)  # int of (x+1) on [-1,1]
-        g = PiecewisePoly.kernel(dom, 1, 1)
         with pytest.raises(ValueError):
-            (f * g).integral(axes=(0,))
+            f.multiply_kernel(1, 1).integral(axes=(0,))
 
 
 class TestAlgebra:
@@ -181,6 +195,8 @@ class TestAlgebra:
     def test_scalar_scaling(self):
         f = two_cell_step()
         assert (2.5 * f)(0.5) == pytest.approx(2.5)
+        with pytest.raises(TypeError):
+            f * f  # only scalars and kernels (multiply_kernel) multiply
 
     def test_sum_terms_matches_pairwise_sum(self):
         rng = np.random.default_rng(8)
@@ -208,7 +224,7 @@ class TestAlgebra:
 
     def test_restrict_pins_lower_corner(self):
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-        f = 2.0 * PiecewisePoly.kernel(dom, 0, 2) * PiecewisePoly.kernel(dom, 1, 1)
+        f = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
         r = f.restrict((-1, 0))  # pin x = 0: result is identically 0
         assert np.all(r.coeffs == 0.0)
         r2 = f.restrict((0, -1))
@@ -231,21 +247,26 @@ class TestAlgebra:
 class TestKernelMultiply:
     @pytest.mark.parametrize("n_breaks", [(3,), (2, 0), (0, 3), (2, 0, 1)])
     def test_matches_general_product(self, n_breaks):
-        # every axis is tried as the kernel axis, so breaks lie on it and off it
+        # every axis is tried as the kernel axis, so breaks lie on it and off
+        # it; the reference is the pointwise product z^k/k! * f at Gauss nodes
         nd = len(n_breaks)
         rng = np.random.default_rng(10 * nd + sum(n_breaks))
         for trial in range(3):
             lo = rng.uniform(-2.0, 0.0, nd)
             domain = HyperRect(tuple(lo), tuple(lo + rng.uniform(0.5, 3.0, nd)))
             f = random_poly(rng, nd, tuple(rng.integers(0, 4, nd)), n_breaks, domain)
+            axes, _ = gauss_grid([f], nodes=4)
+            grids = np.meshgrid(*axes, indexing="ij")
             for axis in range(nd):
                 for k in range(5):
                     got = f.multiply_kernel(axis, k)
-                    ref = PiecewisePoly.kernel(domain, axis, k) * f
-                    assert got.coeffs.shape == ref.coeffs.shape
-                    assert all(np.array_equal(a, b) for a, b in zip(got.breaks, ref.breaks))
-                    scale = np.max(np.abs(ref.coeffs))
-                    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * scale, (axis, k)
+                    degree = tuple(d + (k if i == axis else 0) for i, d in enumerate(f.degree))
+                    assert got.degree == degree and got.cell_counts == f.cell_counts
+                    assert all(np.array_equal(a, b) for a, b in zip(got.breaks, f.breaks))
+                    z = grids[axis] - lo[axis]
+                    ref = z**k / math.factorial(k) * f(*grids)
+                    scale = np.max(np.abs(ref))
+                    assert np.max(np.abs(got(*grids) - ref)) <= 1e-13 * scale, (axis, k)
 
 
 class TestValidation:

@@ -88,8 +88,6 @@ class TestSobolevLegendre:
         u = get_example("example2-2d")
         recon = sobolev_project_legendre(u, (2, 1), (3, 3))
         assert recon.degree == (5, 4)  # degree + gamma per axis
-        pw = recon.to_piecewise()
-        assert pw.degree == (5, 4)
 
     def test_commutation_with_trace_extraction(self):
         # traces of the reconstruction == individually projected traces
@@ -97,31 +95,93 @@ class TestSobolevLegendre:
         gamma, degree = (2, 2), (3, 3)
         rule = rule_for(u, nodes=24, panels=4)  # same splits on both axes
         recon = sobolev_project_legendre(u, gamma, degree, rule)
-        bundle = extract_traces_poly(recon.to_piecewise(), gamma)
         for alpha in multiindex_range(gamma):
-            face = bundle.entries[alpha]
+            face = recon.boundary_trace(alpha, gamma)
             t = u.boundary_trace(alpha, gamma)
+            assert face.face == t.face
             if t.is_scalar:
-                assert float(np.squeeze(face.coeffs)) == pytest.approx(t.values, abs=1e-10)
+                assert face.values == pytest.approx(t.values, abs=1e-10)
                 continue
             act = t.active
             projected = project_legendre(t, tuple(degree[i] for i in act), rule)
             axes = [np.linspace(-1, 1, 7)] * len(act)
-            full = [axes[act.index(i)] if i in act else np.array([-1.0])
-                    for i in range(2)]
-            got = np.squeeze(face.eval_grid(full))
-            want = projected.eval_grid(axes)
-            assert np.allclose(got, np.squeeze(want), rtol=1e-9, atol=1e-9)
+            assert np.allclose(face.eval_grid(axes), projected.eval_grid(axes),
+                               rtol=1e-9, atol=1e-9)
 
     def test_derivative_series_matches_piecewise(self):
-        u = get_example("example2-2d")
+        # a polynomial target of degree (3, 3) is reproduced exactly, so the
+        # series and the PiecewisePoly it came from share every derivative
+        u = get_example("poly-random", seed=3, ndim=2, delta=(2, 2), degree_margin=1)
         recon = sobolev_project_legendre(u, (2, 2), (3, 3))
-        pw = recon.to_piecewise()
+        pw = u.derivatives[(0, 0)]
         xs = np.linspace(-1, 1, 8)
         for alpha in [(0, 0), (1, 0), (2, 2), (3, 3)]:
             got = recon.derivative_grid(alpha, [xs, xs])
             want = pw.derivative_grid(alpha, [xs, xs])
             assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("name,gamma,degree", [
+        ("example1-1d", (5,), 256),
+        ("example2-2d", (3, 3), 32),
+    ])
+    def test_top_derivative_returns_projected_top_trace(self, name, gamma, degree):
+        """D^gamma of the approximant is the projected top trace T, at the
+        degrees where fig1 and fig3 run, to within a first-order rounding
+        bound derived from the operations that produce it.
+
+        Exactly: every lifted term below the top has degree < gamma_i on some
+        axis i, so D^gamma drops it, and D A = I for the antiderivative and
+        derivative maps A, D, so D^gamma A^gamma T = T.  The coefficients of
+        the approximant at indices >= gamma are those of the top term alone
+        (the others add exact zeros there), and output index j of D^gamma
+        reads only input indices >= j + gamma, so the computed result is
+        fl(D^gamma fl(A^gamma T)).  Per axis, the operations run as all A
+        steps (axis 0 first), then all D steps (axis 0 first).
+
+        One step y = M x with m nonzeros per row of M and stored entries
+        within c u of exact (u the unit roundoff) errs by at most
+        (m + c) u |M| |x| to first order, for any summation order.  A has
+        m = 2 and c = 5 (1/(2k+1), two square roots, a product and a
+        quotient); D has m <= ceil(n/2) on n input coefficients and c = 4.
+        An error made at one step passes exactly through the later steps;
+        on axis i they amount to D^p with p = (later D steps) - (later A
+        steps) on that axis, because D A = I.  D has nonnegative entries,
+        so |D^p| = D^p.  Summing over the steps, with x the computed input
+        of each step,
+
+            |computed - T| <= sum_steps (m + c) u D^p (|M| |x|)
+
+        entry by entry, to first order in u.
+        """
+        u = get_example(name)
+        rule = rule_for(u, nodes=degree + 8, panels=4)  # the sweeps' rule
+        degrees = (degree,) * len(gamma)
+        recon = sobolev_project_legendre(u, gamma, degrees, rule)
+        top = project_legendre(u.boundary_trace(gamma, gamma), degrees, rule).coeffs
+        got = recon.mixed_derivative(gamma).coeffs
+        assert got.shape == top.shape
+
+        def along(matrix, x, axis):
+            return np.moveaxis(np.tensordot(matrix, x, axes=([1], [axis])), 0, axis)
+
+        def matrix(kind, n):  # the stored map, read off the unit vectors
+            eye = LegendreSeries(np.eye(n))
+            return (eye.antiderivative(0) if kind == "A" else eye.derivative(0)).coeffs
+
+        steps = [(kind, i) for kind in "AD" for i, g in enumerate(gamma) for _ in range(g)]
+        x, bound = top, np.zeros(top.shape)
+        for s, (kind, axis) in enumerate(steps):
+            n = x.shape[axis]
+            m = matrix(kind, n)
+            err = ((2 + 5) if kind == "A" else (-(-n // 2) + 4)) * np.finfo(float).eps / 2
+            err = err * along(np.abs(m), np.abs(x), axis)
+            for i in range(len(gamma)):
+                later = [k for k, a in steps[s + 1:] if a == i]
+                for _ in range(later.count("D") - later.count("A")):
+                    err = along(matrix("D", err.shape[i]), err, i)
+            bound += err
+            x = along(m, x, axis)
+        assert np.all(np.abs(got - top) <= bound)
 
     def test_rejects_excessive_order(self):
         u = get_example("example1-1d")
