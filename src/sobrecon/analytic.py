@@ -18,9 +18,8 @@ from .core import (
     HyperRect,
     MultiIndex,
     TraceFunction,
-    active_axes,
     as_multiindex,
-    face_spec,
+    boundary_trace,
     leq,
     multiindex_range,
 )
@@ -105,26 +104,13 @@ class AnalyticFunction:
         return np.broadcast_to(np.asarray(self.derivatives[alpha](*grids), float), shape)
 
     def boundary_trace(self, alpha, order=None) -> TraceFunction:
-        """Trace of D^alpha on its face in an order-`order` expansion,
-        obtained by pinning the inactive coordinates at the lower corner."""
+        """Trace of D^alpha on its face in an order-`order` expansion (order
+        defaults to delta and may not exceed it), read by core.boundary_trace
+        through derivative_grid like every other function kind."""
         order = self.delta if order is None else as_multiindex(order, ndim=self.domain.ndim)
         if not leq(order, self.delta):
             raise ValueError(f"expansion order {order} exceeds smoothness {self.delta}")
-        alpha = as_multiindex(alpha, ndim=self.domain.ndim)
-        face = face_spec(alpha, order)
-        act = active_axes(face)
-        if not act:
-            value = float(self.derivatives[alpha](*self.domain.lo))
-            return TraceFunction(face, value)
-        ev = self.derivatives[alpha]
-        lo = self.domain.lo
-
-        def pinned(*coords, _ev=ev, _act=act, _lo=lo):
-            it = iter(coords)
-            args = [next(it) if i in _act else _lo[i] for i in range(len(_lo))]
-            return _ev(*args)
-
-        return TraceFunction(face, pinned)
+        return boundary_trace(self, alpha, order)
 
 
 def finite_difference_error(u: AnalyticFunction, alpha, axis: int, points,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -134,13 +134,13 @@ class HyperRect:
 class TraceFunction:
     """A function supported on a boundary face.
 
-    ``values`` is a plain float for vertex faces (no active axis), otherwise
-    a callable of the active coordinates only (broadcasting over arrays) or
-    any object with an ``eval_grid`` method over the active axes.
+    ``values`` is a plain float for a vertex face (no active axis), otherwise
+    the face view that boundary_trace builds: an object whose ``eval_grid``
+    takes one node array per active axis.
     """
 
     face: FaceSpec
-    values: Union[float, Callable, object]
+    values: Union[float, _FaceView]
 
     @property
     def active(self) -> tuple[int, ...]:
@@ -150,62 +150,44 @@ class TraceFunction:
     def is_scalar(self) -> bool:
         return not self.active
 
-    def __call__(self, *coords):
-        if self.is_scalar:
-            if coords:
-                raise TypeError("scalar trace takes no coordinates")
-            return float(self.values)
-        if callable(self.values):
-            return self.values(*coords)
-        grids = np.meshgrid(*map(np.atleast_1d, coords), indexing="ij", sparse=True)
-        return self.values.eval_grid([g.ravel() for g in grids])
-
     def eval_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Values on the tensor grid spanned by per-active-axis node arrays."""
-        if self.is_scalar:
-            if axes:
-                raise ValueError("scalar trace has no grid axes")
-            return np.asarray(float(self.values))
+        """Values on the tensor grid spanned by per-active-axis node arrays
+        (0-d for a vertex face, which takes no axes)."""
         if len(axes) != len(self.active):
             raise ValueError(f"expected {len(self.active)} axes, got {len(axes)}")
-        if hasattr(self.values, "eval_grid"):
-            return self.values.eval_grid(list(axes))
-        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        shape = tuple(len(a) for a in axes)
-        return np.broadcast_to(np.asarray(self.values(*grids), float), shape)
+        if self.is_scalar:
+            return np.asarray(float(self.values))
+        return self.values.eval_grid(list(axes))
 
 
 class _FaceView:
-    """A function on the full domain read as a function of a face's active
-    axes, with every other axis pinned at its lower endpoint.  `f` needs
-    only ndim, domain, eval_grid and __call__."""
+    """D^alpha f read as a function of a face's active axes, with every
+    other axis pinned at its lower endpoint.  `f` needs only `domain` and
+    `derivative_grid(alpha, axes)`; a pinned axis is passed as the one-node
+    array [domain.lo[i]] and squeezed out of the result."""
 
-    def __init__(self, f, active: tuple[int, ...]):
+    def __init__(self, f, alpha: MultiIndex, active: tuple[int, ...]):
         self.f = f
+        self.alpha = alpha
         self.active = active
 
     def eval_grid(self, axes) -> np.ndarray:
+        lo = self.f.domain.lo
         it = iter(axes)
-        full = [next(it) if i in self.active else np.array([self.f.domain.lo[i]])
-                for i in range(self.f.ndim)]
-        drop = tuple(i for i in range(self.f.ndim) if i not in self.active)
-        values = self.f.eval_grid(full)
-        return np.squeeze(values, axis=drop) if drop else values
-
-    def __call__(self, *coords):
-        it = iter(coords)
-        return self.f(*[next(it) if i in self.active else self.f.domain.lo[i]
-                        for i in range(self.f.ndim)])
+        full = [next(it) if i in self.active else np.array([lo[i]]) for i in range(len(lo))]
+        drop = tuple(i for i in range(len(lo)) if i not in self.active)
+        return np.squeeze(self.f.derivative_grid(self.alpha, full), axis=drop)
 
 
 def boundary_trace(f, alpha, order) -> TraceFunction:
     """Trace of D^alpha f on the face it lives on in an order-`order`
-    expansion: f.mixed_derivative(alpha) read at the lower endpoint of each
-    pinned axis (at domain.lo for a vertex face)."""
-    alpha = as_multiindex(alpha, ndim=f.ndim)
+    expansion, for any f with `domain` and `derivative_grid` (PiecewisePoly,
+    LegendreSeries, AnalyticFunction): a face view of D^alpha f, pinned at
+    the lower endpoint of each inactive axis.  A vertex face has no active
+    axis, and its value is that view read with no axes."""
+    alpha = as_multiindex(alpha, ndim=f.domain.ndim)
     face = face_spec(alpha, order)
-    derivative = f.mixed_derivative(alpha)
-    active = active_axes(face)
-    if not active:
-        return TraceFunction(face, float(derivative(*f.domain.lo)))
-    return TraceFunction(face, _FaceView(derivative, active))
+    view = _FaceView(f, alpha, active_axes(face))
+    if not view.active:
+        return TraceFunction(face, float(view.eval_grid([])))
+    return TraceFunction(face, view)

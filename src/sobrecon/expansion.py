@@ -12,9 +12,11 @@ face-inactive axes (the constant extension the tensor operators act on), as
 PiecewisePoly values or as LegendreSeries on the standard hypercube.  Both
 supply the two calculus maps the operators need, multiply_kernel and
 antiderivative, so one reconstruction serves both representations.  The way
-back, extract_traces_poly, and the exact bundle norm take PiecewisePoly only;
-a LegendreSeries gives its traces one at a time through boundary_trace,
-which is how dc_error measures a Legendre approximant.
+back, extract_traces_poly, and the exact bundle norm take PiecewisePoly only.
+Every function kind (PiecewisePoly, LegendreSeries, AnalyticFunction) also
+gives its traces one at a time through core.boundary_trace, as face views
+read with eval_grid: that is how dc_error compares a target with its
+approximant, and how term_at_point evaluates one summand of the expansion.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ class PolyTraceBundle:
         entries = dict(self.entries)
         if set(entries) != set(lattice):
             raise ValueError("bundle entries do not cover the lattice 0 <= alpha <= order")
+        kinds = {type(e).__name__ for e in entries.values()}
+        if len(kinds) > 1:
+            raise ValueError(f"bundle entries mix types: {', '.join(sorted(kinds))}")
         domain = entries[lattice[0]].domain
         for alpha in lattice:
             e = entries[alpha]
@@ -107,11 +112,10 @@ class PolyTraceBundle:
         """Root-sum-of-squares of the face L2 norms of all traces, each
         integrated by a Gauss rule that is exact for its degree.  Needs
         PiecewisePoly entries."""
-        kinds = {type(e).__name__ for e in self.entries.values()
-                 if not isinstance(e, PiecewisePoly)}
-        if kinds:
+        kind = type(self.entries[multiindex_range(self.order)[0]])
+        if kind is not PiecewisePoly:
             raise ValueError(f"the exact bundle norm needs PiecewisePoly entries, "
-                             f"got {', '.join(sorted(kinds))}")
+                             f"got {kind.__name__}")
         total = 0.0
         for alpha in multiindex_range(self.order):
             face = face_spec(alpha, self.order)
@@ -220,7 +224,9 @@ def term_at_point(alpha, delta, trace: TraceFunction, point, domain: HyperRect,
 
     Volterra factors are integrated by quadrature over the sub-box
     prod [lo_i, s_i]; multiplier factors contribute scalar kernel values.
-    Intended for inspection tables, not for bulk evaluation.
+    The trace is read once with eval_grid: Volterra axes at their quadrature
+    nodes, identity axes at the point's coordinate.  Intended for inspection
+    tables, not for bulk evaluation.
     """
     from . import quadrature  # runtime import keeps module deps one-way
 
@@ -232,46 +238,27 @@ def term_at_point(alpha, delta, trace: TraceFunction, point, domain: HyperRect,
     rule = rule or quadrature.QuadratureRule()
 
     factor = 1.0
-    volterra, identity = [], []
+    volterra = {}  # axis -> (nodes, weights times kernel) on [lo_i, s_i]
     for i, (a, d) in enumerate(zip(alpha, delta)):
         if a < d:
             z = point[i] - domain.lo[i]
             factor *= z**a / math.factorial(a)
         elif d > 0:
-            volterra.append(i)
-        else:
-            identity.append(i)
+            if point[i] <= domain.lo[i]:
+                return 0.0
+            x, w = quadrature.axis_quadrature(
+                domain.lo[i], point[i], rule.axis_splits(i), rule.axis_grading(i),
+                rule.nodes, rule.panels,
+            )
+            volterra[i] = (x, w * ((point[i] - x) ** (d - 1) / math.factorial(d - 1)))
 
-    active = sorted(volterra + identity)
-    if not volterra:
-        if trace.is_scalar:
-            return factor * float(trace.values)
-        coords = [point[i] for i in active]
-        return factor * float(np.squeeze(trace(*[np.array([c]) for c in coords])))
-
-    axes, weights, kernels = [], [], []
-    for i in volterra:
-        if point[i] <= domain.lo[i]:
-            return 0.0
-        x, w = quadrature.axis_quadrature(
-            domain.lo[i], point[i], rule.axis_splits(i), rule.axis_grading(i),
-            rule.nodes, rule.panels,
-        )
-        axes.append(x)
-        weights.append(w)
-        k = delta[i] - 1
-        kernels.append((point[i] - x) ** k / math.factorial(k))
-
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    args = []
-    g_iter = iter(grids)
-    for i in active:
-        args.append(next(g_iter) if i in volterra else point[i])
-    values = np.asarray(trace(*args), float)
-    shape = tuple(len(x) for x in axes)
-    total = np.broadcast_to(values, shape)
-    for i in range(len(axes)):
-        shape_i = [1] * len(axes)
-        shape_i[i] = -1
-        total = total * (weights[i] * kernels[i]).reshape(shape_i)
-    return factor * float(total.sum())
+    # identity axes (order 0 of 0) are read at the point itself
+    axes = [volterra[i][0] if i in volterra else np.array([point[i]]) for i in trace.active]
+    total = trace.eval_grid(axes).reshape(tuple(len(x) for x, _ in volterra.values()))
+    for n, (_, weighted) in enumerate(volterra.values()):
+        shape = [1] * len(volterra)
+        shape[n] = -1
+        total = total * weighted.reshape(shape)
+    # numpy's sum starts from +0.0; a term with no Volterra axis is read
+    # directly, so a zero keeps its sign
+    return factor * float(total.sum() if volterra else total)

@@ -8,7 +8,8 @@ applied trace-by-trace and the approximant of the original function is then
 reassembled through the reconstruction operators; projecting at order zero
 reduces to the plain L2 projection of the function itself.
 
-Scalar traces (vertex values) pass through both projections unchanged.
+Vertex traces take the same path with no active axis, so both projections
+return their value unchanged.
 """
 
 from __future__ import annotations
@@ -117,8 +118,6 @@ def sobolev_project_legendre(u: AnalyticFunction, gamma, degree,
 
     def project_face(trace, axes, weights):
         act = trace.active
-        if not act:
-            return LegendreSeries.constant(float(trace.values), nd)
         degs = tuple(degree[i] for i in act)
         return _legendre_from_grid(trace, degs, axes, weights).extend(act, nd)
 

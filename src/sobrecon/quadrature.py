@@ -23,7 +23,6 @@ from .core import (
     HyperRect,
     active_axes,
     as_multiindex,
-    face_spec,
     multiindex_range,
 )
 
@@ -196,22 +195,6 @@ def integrate(f, domain: HyperRect, rule: QuadratureRule | None = None) -> float
     return _contract(values, weights)
 
 
-def l2_norm(f, domain: HyperRect, rule: QuadratureRule | None = None) -> float:
-    rule = rule or QuadratureRule()
-    axes, weights = grid_quadrature(domain, rule)
-    values = grid_values(f, axes)
-    _check_finite(values, axes)
-    return math.sqrt(max(_contract(values * values, weights), 0.0))
-
-
-def l2_error(f, g, domain: HyperRect, rule: QuadratureRule | None = None) -> float:
-    rule = rule or QuadratureRule()
-    axes, weights = grid_quadrature(domain, rule)
-    diff = grid_values(f, axes) - grid_values(g, axes)
-    _check_finite(diff, axes)
-    return math.sqrt(max(_contract(diff * diff, weights), 0.0))
-
-
 def _deriv_values(obj, alpha, axes) -> np.ndarray:
     shape = tuple(len(a) for a in axes)
     if hasattr(obj, "derivative_grid"):
@@ -234,6 +217,17 @@ def error_components(f, g, indices, domain: HyperRect,
         _check_finite(values, axes)
         components[alpha] = _contract(values * values, weights)
     return components
+
+
+def l2_error(f, g, domain: HyperRect, rule: QuadratureRule | None = None) -> float:
+    """L2 norm of f - g (of f alone when g is None), by quadrature."""
+    zero = (0,) * domain.ndim
+    comp = error_components(f, g, [zero], domain, rule or QuadratureRule())
+    return math.sqrt(max(comp[zero], 0.0))
+
+
+def l2_norm(f, domain: HyperRect, rule: QuadratureRule | None = None) -> float:
+    return l2_error(f, None, domain, rule)
 
 
 def norm_index_set(order, family: str = "mixed"):
@@ -285,17 +279,11 @@ def dc_error(f, g, order, domain: HyperRect,
     domain_axes, domain_weights = grid_quadrature(domain, rule)
     total = 0.0
     for alpha in multiindex_range(order):
-        face = face_spec(alpha, order)
         tf = f.boundary_trace(alpha, order)
-        tg = g.boundary_trace(alpha, order) if g is not None else None
-        if not active_axes(face):
-            d = float(tf.values) - (float(tg.values) if tg is not None else 0.0)
-            total += d * d
-            continue
-        axes, weights = _face_axes(domain_axes, domain_weights, face)
+        axes, weights = _face_axes(domain_axes, domain_weights, tf.face)
         values = tf.eval_grid(axes)
-        if tg is not None:
-            values = values - tg.eval_grid(axes)
+        if g is not None:
+            values = values - g.boundary_trace(alpha, order).eval_grid(axes)
         _check_finite(values, axes)
         total += _contract(np.asarray(values, float) ** 2, weights)
     return math.sqrt(max(total, 0.0))

@@ -1,6 +1,8 @@
 import csv
 import re
 
+import pytest
+
 from sobrecon.cli import main
 
 
@@ -33,6 +35,16 @@ class TestExpandCommand:
         assert len(rows) == 6  # orders 0..5
         gap = float(out.split("difference")[1].strip())
         assert gap <= 1e-8
+
+    @pytest.mark.parametrize("delta", ["2,0", "0,3"])
+    def test_example2_partial_orders_sum_to_value(self, delta, capsys):
+        # order 0 on one axis puts identity axes and pinned faces into
+        # term_at_point's trace reads
+        code = main(["expand", "--example", "example2-2d", "--point", "0.25,-0.5",
+                     "--delta", delta])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert float(out.split("difference")[1].strip()) <= 1e-12
 
     def test_rejects_bad_point(self, capsys):
         code = main(["expand", "--example", "example1-1d", "--point", "0.5,0.5"])

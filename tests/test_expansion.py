@@ -140,6 +140,17 @@ class TestBundleNorm:
             bundle.norm()
 
 
+class TestBundleTypes:
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_mixed_entry_types_rejected(self, swap):
+        pieces = [PiecewisePoly.constant(HyperRect.cube(1), 1.0),
+                  LegendreSeries.constant(2.0, 1)]
+        if swap:
+            pieces.reverse()
+        with pytest.raises(ValueError, match="mix types: LegendreSeries, PiecewisePoly"):
+            PolyTraceBundle((1,), {(0,): pieces[0], (1,): pieces[1]})
+
+
 class TestExtract:
     def test_monomial_traces(self):
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))

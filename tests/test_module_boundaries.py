@@ -1,5 +1,6 @@
-"""No sobrecon module reaches into another module's `_`-prefixed names, and
-every name in `sobrecon.__all__` exists.
+"""No sobrecon module reaches into another module's `_`-prefixed names, only
+`core` builds TraceFunction values, and every name in `sobrecon.__all__`
+exists.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -103,6 +104,33 @@ def test_detector_flags_imports_and_attribute_reads():
 def test_detector_allows_own_private_names():
     source = "from .quadrature import _check_finite\n"
     assert private_uses(source, "sobrecon.quadrature") == []
+
+
+def trace_constructions(source: str) -> list[int]:
+    """Lines of `source` that call TraceFunction(...), by name or attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and "TraceFunction" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_only_core_builds_trace_functions():
+    # every trace comes from core.boundary_trace, for every function kind
+    offenders = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+                 if path.stem != "core"
+                 and (lines := trace_constructions(path.read_text()))}
+    assert not offenders, offenders
+
+
+def test_trace_detector_flags_calls_only():
+    source = (
+        "from .core import TraceFunction\n"
+        "def f(x) -> TraceFunction:\n"
+        "    core.TraceFunction((0,), x)\n"
+        "    return TraceFunction((-1,), 1.0)\n"
+    )
+    assert trace_constructions(source) == [3, 4]
 
 
 def test_all_exports_resolve():

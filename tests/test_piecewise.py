@@ -240,8 +240,8 @@ class TestAlgebra:
         t0 = u.boundary_trace((0,), (1,))
         assert t0.is_scalar and t0.values == pytest.approx(1.0)
         t1 = u.boundary_trace((1,), (1,))
-        assert t1(np.array([-0.5]))[0] == pytest.approx(-1.0)
-        assert t1(np.array([0.5]))[0] == pytest.approx(1.0)
+        assert t1.eval_grid([np.array([-0.5])])[0] == pytest.approx(-1.0)
+        assert t1.eval_grid([np.array([0.5])])[0] == pytest.approx(1.0)
 
 
 class TestKernelMultiply:

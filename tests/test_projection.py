@@ -12,10 +12,11 @@ from sobrecon.projection import (
     cell_edges,
     project_legendre,
     project_step,
+    random_legendre_poly,
     sobolev_project_legendre,
     sobolev_project_step,
 )
-from sobrecon.quadrature import l2_error, rule_for
+from sobrecon.quadrature import dc_error, dc_norm, l2_error, rule_for
 from sobrecon.targets import v_derivative
 
 
@@ -182,6 +183,31 @@ class TestSobolevLegendre:
             bound += err
             x = along(m, x, axis)
         assert np.all(np.abs(got - top) <= bound)
+
+    def test_dc_norm_optimality_against_unit_directions(self):
+        # The order-gamma trace projection minimizes the dc error over the
+        # polynomials of degree d + gamma, so no unit-dc-norm direction q may
+        # lower it: with r = u - p_d, |r - eps q| = sqrt(|r|^2 + eps^2) at the
+        # optimum, an "improvement" of -eps^2 / (2 |r|) (-2.2e-12 at eps=1e-6).
+        # A copy nudged by 1e-4 along one direction has a first-order gap
+        # that the same directions must see.
+        u = get_example("example1-1d")
+        gamma, d = (5,), (6,)
+        rule = rule_for(u, nodes=d[0] + 14, panels=4)
+        pd = sobolev_project_legendre(u, gamma, d, rule)
+        rng = np.random.default_rng(0)
+        directions = []
+        for _ in range(21):
+            q = random_legendre_poly(rng, (d[0] + gamma[0],))
+            directions.append((1.0 / dc_norm(q, gamma, u.domain, rule)) * q)
+
+        def worst_improvement(p):
+            base = dc_error(u, p, gamma, u.domain, rule)
+            return max(base - dc_error(u, p + eps * q, gamma, u.domain, rule)
+                       for q in directions[1:] for eps in (-1e-3, -1e-6, 1e-6, 1e-3))
+
+        assert worst_improvement(pd) <= 1e-12
+        assert worst_improvement(pd + 1e-4 * directions[0]) > 1e-10
 
     def test_rejects_excessive_order(self):
         u = get_example("example1-1d")

@@ -6,7 +6,9 @@ from sobrecon.analytic import (
     finite_difference_error,
     get_example,
 )
-from sobrecon.core import multiindex_range
+from sobrecon.core import active_axes, face_spec, multiindex_range
+from sobrecon.projection import project_legendre
+from sobrecon.quadrature import QuadratureRule
 from sobrecon.targets import example1, example2, v_derivative
 
 
@@ -102,23 +104,49 @@ class TestTraces:
         assert u.boundary_trace((1, 0), (2, 1)).values == pytest.approx(0.0)
         t20 = u.boundary_trace((2, 0), (2, 1))
         assert t20.face == (0, -1)
-        assert float(t20(np.array([0.7]))[0]) == pytest.approx(0.0)
+        assert float(t20.eval_grid([np.array([0.7])])[0]) == pytest.approx(0.0)
         t21 = u.boundary_trace((2, 1), (2, 1))
         assert t21.face == (0, 0)
-        assert float(np.asarray(t21(0.3, 0.9))) == pytest.approx(2.0)
+        assert float(t21.eval_grid([np.array([0.3]), np.array([0.9])])[0, 0]) == pytest.approx(2.0)
 
     def test_order_zero_bundle_is_function(self):
         u = example1()
         assert set(multiindex_range((0,))) == {(0,)}
         t = u.boundary_trace((0,), (0,))
-        assert float(t(np.array([0.5]))[0]) == pytest.approx(u(0.5))
+        assert float(t.eval_grid([np.array([0.5])])[0]) == pytest.approx(u(0.5))
 
     def test_top_trace_is_full_derivative(self):
         w = example2()
         t = w.boundary_trace((3, 3))
         assert t.face == (0, 0)
-        assert float(np.asarray(t(0.3, 0.1))) == pytest.approx(
+        assert float(t.eval_grid([np.array([0.3]), np.array([0.1])])[0, 0]) == pytest.approx(
             w.eval_derivative((3, 3), (0.3, 0.1)))
+
+    @pytest.mark.parametrize("ndim,delta", [(2, (2, 1)), (3, (1, 2, 1))])
+    def test_three_function_kinds_give_one_trace(self, ndim, delta):
+        # The trace of D^alpha is D^alpha u read at the lower endpoint of
+        # each pinned axis.  The analytic target, its PiecewisePoly and the
+        # LegendreSeries projected from it at its own degree (exact for a
+        # polynomial) must all give it, vertex faces included.  The oracle is
+        # eval_derivative at the pinned points; the bound is 1e-11 relative
+        # to the largest |D^alpha u| on the face grid (measured 3.7e-13).
+        u = get_example("poly-random", seed=3, ndim=ndim, delta=delta)
+        pw = u.derivatives[(0,) * ndim]
+        series = project_legendre(pw, pw.degree, QuadratureRule(nodes=8, panels=1))
+        nodes = np.polynomial.legendre.leggauss(5)[0]
+        for alpha in multiindex_range(delta):
+            active = active_axes(face_spec(alpha, delta))
+            grid = [nodes] * len(active)
+            want = np.empty((nodes.size,) * len(active))
+            for index in np.ndindex(want.shape):
+                coords = dict(zip(active, nodes[list(index)]))
+                point = [coords.get(i, u.domain.lo[i]) for i in range(ndim)]
+                want[index] = u.eval_derivative(alpha, point)
+            scale = np.abs(want).max()
+            for f in (u, pw, series):
+                got = f.boundary_trace(alpha, delta).eval_grid(grid)
+                assert got.shape == want.shape, (type(f).__name__, alpha)
+                assert np.abs(got - want).max() <= 1e-11 * scale, (type(f).__name__, alpha)
 
     def test_derivative_table_validation(self):
         from sobrecon.analytic import AnalyticFunction
