@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bench
 from .analytic import available_examples, get_example
-from .core import as_multiindex, face_spec, multiindex_range
+from .core import as_multiindex, multiindex_range
 from .expansion import term_at_point
 from .quadrature import rule_for
 from .verify import run_suite
@@ -112,10 +112,9 @@ def cmd_expand(args) -> int:
     total = 0.0
     for alpha in multiindex_range(delta):
         trace = u.boundary_trace(alpha, delta)
-        term = term_at_point(alpha, delta, trace, point, u.domain, rule)
+        term = term_at_point(trace, point, rule)
         total += term
-        face = face_spec(alpha, delta)
-        print(f"{str(alpha):>12} {str(face):>12} {term:>24.16e}")
+        print(f"{str(alpha):>12} {str(trace.face):>12} {term:>24.16e}")
     direct = float(np.asarray(u(*point)))
     print("-" * len(header))
     print(f"{'sum':>12} {'':>12} {total:>24.16e}")

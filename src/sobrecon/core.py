@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -130,64 +130,42 @@ class HyperRect:
         return cls((lo,) * ndim, (hi,) * ndim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceFunction:
-    """A function supported on a boundary face.
+    """The trace of D^alpha f on a lower boundary face: D^alpha f read as a
+    function of the face's active axes, every other axis pinned at its lower
+    endpoint.
 
-    ``values`` is a plain float for a vertex face (no active axis), otherwise
-    the face view that boundary_trace builds: an object whose ``eval_grid``
-    takes one node array per active axis.
+    `f` needs only `domain` and `derivative_grid(alpha, axes)` (PiecewisePoly,
+    LegendreSeries, AnalyticFunction).  Face, alpha and f fix one summand of
+    the expansion, so a reader needs nothing else.
     """
 
     face: FaceSpec
-    values: Union[float, _FaceView]
+    f: object
+    alpha: MultiIndex
 
     @property
     def active(self) -> tuple[int, ...]:
         return active_axes(self.face)
 
-    @property
-    def is_scalar(self) -> bool:
-        return not self.active
-
     def eval_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Values on the tensor grid spanned by per-active-axis node arrays
-        (0-d for a vertex face, which takes no axes)."""
-        if len(axes) != len(self.active):
-            raise ValueError(f"expected {len(self.active)} axes, got {len(axes)}")
-        if self.is_scalar:
-            return np.asarray(float(self.values))
-        return self.values.eval_grid(list(axes))
-
-
-class _FaceView:
-    """D^alpha f read as a function of a face's active axes, with every
-    other axis pinned at its lower endpoint.  `f` needs only `domain` and
-    `derivative_grid(alpha, axes)`; a pinned axis is passed as the one-node
-    array [domain.lo[i]] and squeezed out of the result."""
-
-    def __init__(self, f, alpha: MultiIndex, active: tuple[int, ...]):
-        self.f = f
-        self.alpha = alpha
-        self.active = active
-
-    def eval_grid(self, axes) -> np.ndarray:
+        """Values on the tensor grid spanned by one node array per active
+        axis; each pinned axis is read as the one-node array [domain.lo[i]]
+        and squeezed out, so a vertex face reads eval_grid([]) as 0-d."""
+        active = self.active
+        if len(axes) != len(active):
+            raise ValueError(f"expected {len(active)} axes, got {len(axes)}")
         lo = self.f.domain.lo
         it = iter(axes)
-        full = [next(it) if i in self.active else np.array([lo[i]]) for i in range(len(lo))]
-        drop = tuple(i for i in range(len(lo)) if i not in self.active)
-        return np.squeeze(self.f.derivative_grid(self.alpha, full), axis=drop)
+        full = [next(it) if b == 0 else np.array([lo[i]]) for i, b in enumerate(self.face)]
+        pinned = tuple(i for i, b in enumerate(self.face) if b < 0)
+        return np.squeeze(self.f.derivative_grid(self.alpha, full), axis=pinned)
 
 
 def boundary_trace(f, alpha, order) -> TraceFunction:
     """Trace of D^alpha f on the face it lives on in an order-`order`
-    expansion, for any f with `domain` and `derivative_grid` (PiecewisePoly,
-    LegendreSeries, AnalyticFunction): a face view of D^alpha f, pinned at
-    the lower endpoint of each inactive axis.  A vertex face has no active
-    axis, and its value is that view read with no axes."""
+    expansion, for any f with `domain` and `derivative_grid`; nothing is
+    evaluated until the trace is read with eval_grid."""
     alpha = as_multiindex(alpha, ndim=f.domain.ndim)
-    face = face_spec(alpha, order)
-    view = _FaceView(f, alpha, active_axes(face))
-    if not view.active:
-        return TraceFunction(face, float(view.eval_grid([])))
-    return TraceFunction(face, view)
+    return TraceFunction(face_spec(alpha, order), f, alpha)

@@ -14,9 +14,10 @@ supply the two calculus maps the operators need, multiply_kernel and
 antiderivative, so one reconstruction serves both representations.  The way
 back, extract_traces_poly, and the exact bundle norm take PiecewisePoly only.
 Every function kind (PiecewisePoly, LegendreSeries, AnalyticFunction) also
-gives its traces one at a time through core.boundary_trace, as face views
-read with eval_grid: that is how dc_error compares a target with its
-approximant, and how term_at_point evaluates one summand of the expansion.
+gives its traces one at a time through core.boundary_trace, as a
+TraceFunction(face, f, alpha) read with eval_grid: that is how dc_error
+compares a target with its approximant, and how term_at_point evaluates one
+summand of the expansion from the trace alone.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import quadrature
 from .core import (
     HyperRect,
     MultiIndex,
@@ -73,9 +75,10 @@ class PolyTraceBundle:
     """The complete family of boundary traces of an order-`order` expansion.
 
     One trace per lattice index alpha <= order, each constant along its
-    face-inactive axes; all PiecewisePoly or all LegendreSeries.  The exact
-    norm and bundle_from need PiecewisePoly entries; the norm of a
-    LegendreSeries bundle is dc_norm of its reconstruction, by quadrature.
+    face-inactive axes; all PiecewisePoly or all LegendreSeries, on a domain
+    with one axis per entry of `order`.  The exact norm, allclose and
+    bundle_from need PiecewisePoly entries; the norm of a LegendreSeries
+    bundle is dc_norm of its reconstruction, by quadrature.
     """
 
     order: MultiIndex
@@ -92,6 +95,9 @@ class PolyTraceBundle:
         if len(kinds) > 1:
             raise ValueError(f"bundle entries mix types: {', '.join(sorted(kinds))}")
         domain = entries[lattice[0]].domain
+        if len(order) != domain.ndim:
+            raise ValueError(f"order {order} has {len(order)} entries "
+                             f"but the entries are {domain.ndim}-D")
         for alpha in lattice:
             e = entries[alpha]
             if e.domain != domain:
@@ -108,14 +114,16 @@ class PolyTraceBundle:
     def domain(self) -> HyperRect:
         return self.entries[multiindex_range(self.order)[0]].domain
 
+    def _need_piecewise(self, what: str):
+        kind = type(self.entries[multiindex_range(self.order)[0]])
+        if kind is not PiecewisePoly:
+            raise ValueError(f"{what} needs PiecewisePoly entries, got {kind.__name__}")
+
     def norm(self) -> float:
         """Root-sum-of-squares of the face L2 norms of all traces, each
         integrated by a Gauss rule that is exact for its degree.  Needs
         PiecewisePoly entries."""
-        kind = type(self.entries[multiindex_range(self.order)[0]])
-        if kind is not PiecewisePoly:
-            raise ValueError(f"the exact bundle norm needs PiecewisePoly entries, "
-                             f"got {kind.__name__}")
+        self._need_piecewise("the exact bundle norm")
         total = 0.0
         for alpha in multiindex_range(self.order):
             face = face_spec(alpha, self.order)
@@ -136,6 +144,9 @@ class PolyTraceBundle:
         )
 
     def allclose(self, other: "PolyTraceBundle", tol: float = 1e-10) -> bool:
+        """Entrywise PiecewisePoly.allclose; needs PiecewisePoly entries."""
+        for bundle in (self, other):
+            bundle._need_piecewise("bundle allclose")
         if self.order != other.order:
             return False
         return all(
@@ -218,20 +229,18 @@ def fund_int_pair(k: int, top: int, v: PiecewisePoly, axis: int = 0):
     return lhs, rhs
 
 
-def term_at_point(alpha, delta, trace: TraceFunction, point, domain: HyperRect,
-                  rule=None) -> float:
-    """Numeric value at one point of a single lifted-trace summand.
+def term_at_point(trace: TraceFunction, point, rule=None) -> float:
+    """Numeric value at one point of the summand that lifts `trace`.
 
-    Volterra factors are integrated by quadrature over the sub-box
-    prod [lo_i, s_i]; multiplier factors contribute scalar kernel values.
-    The trace is read once with eval_grid: Volterra axes at their quadrature
-    nodes, identity axes at the point's coordinate.  Intended for inspection
-    tables, not for bulk evaluation.
+    Everything comes from the trace: the domain is trace.f.domain, and per
+    axis i with a = alpha_i a pinned axis gives the kernel z^a/a!, an active
+    axis with a > 0 the a-fold Volterra integral with kernel
+    (s - x)^(a-1)/(a-1)! over [lo_i, s_i], by quadrature, and an active axis
+    with a = 0 the identity.  The trace is read once with eval_grid: Volterra
+    axes at their quadrature nodes, identity axes at the point's coordinate.
+    Intended for inspection tables, not for bulk evaluation.
     """
-    from . import quadrature  # runtime import keeps module deps one-way
-
-    alpha = as_multiindex(alpha)
-    delta = as_multiindex(delta, ndim=len(alpha))
+    domain = trace.f.domain
     point = tuple(float(p) for p in point)
     if not domain.contains(point):
         raise ValueError(f"point {point} outside domain")
@@ -239,20 +248,20 @@ def term_at_point(alpha, delta, trace: TraceFunction, point, domain: HyperRect,
 
     factor = 1.0
     volterra = {}  # axis -> (nodes, weights times kernel) on [lo_i, s_i]
-    for i, (a, d) in enumerate(zip(alpha, delta)):
-        if a < d:
+    for i, (a, b) in enumerate(zip(trace.alpha, trace.face)):
+        if b < 0:
             z = point[i] - domain.lo[i]
             factor *= z**a / math.factorial(a)
-        elif d > 0:
+        elif a > 0:
             if point[i] <= domain.lo[i]:
                 return 0.0
             x, w = quadrature.axis_quadrature(
                 domain.lo[i], point[i], rule.axis_splits(i), rule.axis_grading(i),
                 rule.nodes, rule.panels,
             )
-            volterra[i] = (x, w * ((point[i] - x) ** (d - 1) / math.factorial(d - 1)))
+            volterra[i] = (x, w * ((point[i] - x) ** (a - 1) / math.factorial(a - 1)))
 
-    # identity axes (order 0 of 0) are read at the point itself
+    # identity axes (active, a = 0) are read at the point itself
     axes = [volterra[i][0] if i in volterra else np.array([point[i]]) for i in trace.active]
     total = trace.eval_grid(axes).reshape(tuple(len(x) for x, _ in volterra.values()))
     for n, (_, weighted) in enumerate(volterra.values()):

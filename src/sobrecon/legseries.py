@@ -184,6 +184,8 @@ class LegendreSeries:
     # -------------------------------------------------------------- algebra
 
     def pad_to(self, degree: MultiIndex) -> "LegendreSeries":
+        if len(degree) != self.ndim:
+            raise ValueError(f"expected {self.ndim} degrees, got {len(degree)}")
         pad = [(0, d + 1 - s) for d, s in zip(degree, self.coeffs.shape)]
         if any(p[1] < 0 for p in pad):
             raise ValueError("cannot reduce degree by padding")
@@ -192,6 +194,8 @@ class LegendreSeries:
     def __add__(self, other: "LegendreSeries") -> "LegendreSeries":
         if not isinstance(other, LegendreSeries):
             return NotImplemented
+        if self.ndim != other.ndim:
+            raise ValueError("operands live on different domains")
         degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
         return LegendreSeries(self.pad_to(degree).coeffs + other.pad_to(degree).coeffs)
 

@@ -150,6 +150,19 @@ class TestBundleTypes:
         with pytest.raises(ValueError, match="mix types: LegendreSeries, PiecewisePoly"):
             PolyTraceBundle((1,), {(0,): pieces[0], (1,): pieces[1]})
 
+    def test_order_must_match_entry_dimension(self):
+        square = PiecewisePoly.constant(HyperRect.cube(2), 1.0)
+        with pytest.raises(ValueError, match=r"order \(1,\) has 1 entries but the entries are 2-D"):
+            PolyTraceBundle((1,), {(0,): square, (1,): square})
+
+    def test_allclose_rejects_legendre_entries(self):
+        series = PolyTraceBundle((1,), {(0,): LegendreSeries.constant(1.0, 1),
+                                        (1,): LegendreSeries.constant(2.0, 1)})
+        poly = bundle_from((1,), {(0,): 1.0, (1,): 2.0}, HyperRect.cube(1))
+        for lhs, rhs in ((series, series), (poly, series), (series, poly)):
+            with pytest.raises(ValueError, match="needs PiecewisePoly entries, got LegendreSeries"):
+                lhs.allclose(rhs)
+
 
 class TestExtract:
     def test_monomial_traces(self):
@@ -228,5 +241,21 @@ def test_term_table_sums_to_value():
     total = 0.0
     for alpha in multiindex_range(delta):
         trace = u.boundary_trace(alpha, delta)
-        total += term_at_point(alpha, delta, trace, (1.0, 1.0), dom)
+        total += term_at_point(trace, (1.0, 1.0))
     assert total == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", [(3,), (2, 1), (1, 2, 1)])
+@pytest.mark.parametrize("seed", range(5))
+def test_each_term_matches_its_lifted_trace(delta, seed):
+    # term by term, so errors that cancel in the sum still show
+    rng = np.random.default_rng(seed)
+    domain = random_domain(rng, len(delta))
+    u = random_tensor_poly(rng, domain, tuple(d + 2 for d in delta))
+    point = tuple(rng.uniform(domain.lo, domain.hi))
+    bundle = extract_traces_poly(u, delta)
+    rule = QuadratureRule(nodes=8, panels=1)  # exact for these low-degree integrands
+    for alpha in multiindex_range(delta):
+        got = term_at_point(u.boundary_trace(alpha, delta), point, rule)
+        want = apply_tensor(alpha, delta, bundle.entries[alpha])(*point)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), alpha

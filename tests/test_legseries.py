@@ -139,3 +139,12 @@ def test_evaluation_refuses_bad_points():
     x = 1.0 + 1e-12
     assert f(x) == legendre_values(1, [x])[:, 0] @ f.coeffs
     assert f(-1.0) == pytest.approx(math.sqrt(0.5) - 2.0 * math.sqrt(1.5))
+
+
+def test_addition_refuses_mismatched_dimensions():
+    line, square = LegendreSeries(np.ones(3)), LegendreSeries(np.ones((2, 2)))
+    for lhs, rhs in ((line, square), (square, line)):
+        with pytest.raises(ValueError, match="operands live on different domains"):
+            lhs + rhs
+    with pytest.raises(ValueError, match="expected 2 degrees, got 1"):
+        square.pad_to((3,))

@@ -1,6 +1,6 @@
 """No sobrecon module reaches into another module's `_`-prefixed names, only
-`core` builds TraceFunction values, and every name in `sobrecon.__all__`
-exists.
+`core` builds TraceFunction values, no function keeps a local it never
+reads, and every name in `sobrecon.__all__` exists.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -131,6 +131,54 @@ def test_trace_detector_flags_calls_only():
         "    return TraceFunction((-1,), 1.0)\n"
     )
     assert trace_constructions(source) == [3, 4]
+
+
+def dead_locals(source: str) -> list[str]:
+    """`function: name (line n)` for each name not starting with `_` that a
+    function stores and never reads.  A nested function counts as part of
+    the function it sits in, and a read inside the value of an assignment
+    to the same name (``x = x and ...``) does not count as a read."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        self_reads = {
+            id(n) for node in ast.walk(func) if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+            for n in ast.walk(node.value) if getattr(n, "id", None) == target.id
+        }
+        declared = {name for node in ast.walk(func)
+                    if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load) and id(n) not in self_reads}
+        found.extend(
+            f"{func.name}: {n.id} (line {n.lineno})" for n in names
+            if isinstance(n.ctx, ast.Store) and not n.id.startswith("_")
+            and n.id not in read | declared
+        )
+    return sorted(set(found))
+
+
+def test_no_dead_locals():
+    offenders = {path.name: dead for path in sorted(PACKAGE.glob("*.py"))
+                 if (dead := dead_locals(path.read_text()))}
+    assert not offenders, offenders
+
+
+def test_dead_local_detector():
+    source = (
+        "def f(x):\n"
+        "    nd = x.ndim\n"
+        "    ok = True\n"
+        "    for _ in range(3):\n"
+        "        ok = ok and x\n"
+        "    a, _b = x\n"
+        "    total = 0\n"
+        "    def g():\n"
+        "        return total + a\n"
+        "    return g\n"
+    )
+    assert dead_locals(source) == ["f: nd (line 2)", "f: ok (line 3)", "f: ok (line 5)"]
 
 
 def test_all_exports_resolve():
