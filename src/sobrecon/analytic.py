@@ -103,6 +103,11 @@ class AnalyticFunction:
         shape = tuple(len(a) for a in axes)
         return np.broadcast_to(np.asarray(self.derivatives[alpha](*grids), float), shape)
 
+    def derivative_grids(self, indices, axes):
+        """Yield D^alpha on the tensor grid for each alpha in `indices`."""
+        for alpha in indices:
+            yield self.derivative_grid(alpha, axes)
+
     def boundary_trace(self, alpha, order=None) -> TraceFunction:
         """Trace of D^alpha on its face in an order-`order` expansion (order
         defaults to delta and may not exceed it), read by core.boundary_trace

@@ -116,17 +116,29 @@ class LegendreSeries:
 
     # ------------------------------------------------------------- evaluation
 
-    def eval_grid(self, axes) -> np.ndarray:
+    def derivative_grids(self, indices, axes):
+        """Yield D^alpha on the tensor grid spanned by one node array per
+        axis, for each alpha in `indices` in order.  One basis table per
+        axis serves every alpha: its leading rows are the table of the
+        lower-degree derivative."""
         if len(axes) != self.ndim:
             raise ValueError(f"expected {self.ndim} axis arrays")
         domain = self.domain
-        ops, subs = [self.coeffs], [EINSUM_LETTERS[: self.ndim]]
-        out = EINSUM_LETTERS[self.ndim: 2 * self.ndim]
+        tables = []
         for i, x in enumerate(axes):
             domain.check_inside(i, np.asarray(x, float))
-            ops.append(legendre_values(self.degree[i], x))
-            subs.append(EINSUM_LETTERS[i] + out[i])
-        return np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
+            tables.append(legendre_values(self.degree[i], x))
+        subs = [EINSUM_LETTERS[: self.ndim]]
+        out = EINSUM_LETTERS[self.ndim: 2 * self.ndim]
+        subs += [EINSUM_LETTERS[i] + out[i] for i in range(self.ndim)]
+        spec = ",".join(subs) + "->" + out
+        for alpha in indices:
+            coeffs = self.mixed_derivative(alpha).coeffs
+            rows = [t[:n] for t, n in zip(tables, coeffs.shape)]
+            yield np.einsum(spec, coeffs, *rows, optimize=True)
+
+    def eval_grid(self, axes) -> np.ndarray:
+        return next(self.derivative_grids([(0,) * self.ndim], axes))
 
     def __call__(self, *coords):
         if len(coords) != self.ndim:
@@ -152,6 +164,8 @@ class LegendreSeries:
         return LegendreSeries(_apply_axis(self.coeffs, _antiderivative_matrix(n), axis))
 
     def derivative(self, axis: int, order: int = 1) -> "LegendreSeries":
+        if order < 0:
+            raise ValueError(f"derivative order must be non-negative, got {order}")
         out = self.coeffs
         for _ in range(order):
             out = _apply_axis(out, _derivative_matrix(out.shape[axis]), axis)
@@ -175,7 +189,7 @@ class LegendreSeries:
         return out
 
     def derivative_grid(self, alpha, axes) -> np.ndarray:
-        return self.mixed_derivative(alpha).eval_grid(axes)
+        return next(self.derivative_grids([alpha], axes))
 
     def boundary_trace(self, alpha, order) -> TraceFunction:
         """Trace of D^alpha on the face it lives on in an order-`order` expansion."""

@@ -12,6 +12,12 @@ coefficient vectors, differentiation and antidifferentiation are index
 shifts, and re-anchoring a piece to a new corner is the evaluation of its
 derivatives there (no factorial ratios appear anywhere).
 
+Evaluation is by cell lookup: each node finds its cell once per axis
+(half-open cells, last cell closed), and the coefficient rows of those
+cells are contracted with the node's powers axis by axis.  A grid read
+with ``derivative_grids`` reuses these per-axis tables for every
+derivative order it is asked for.
+
 The public constructor validates breaks and coefficient shapes.  Results of
 operations on valid polynomials are valid by construction and skip that
 check: they are built through ``PiecewisePoly._make``.
@@ -199,28 +205,49 @@ class PiecewisePoly:
             val = np.einsum("m...k,mk->m...", val, _powers(z, self.degree[i]))
         return val.reshape(shape) if shape else float(val[0])
 
-    def eval_grid(self, axes) -> np.ndarray:
-        """Values on the tensor grid spanned by one node array per axis."""
-        if len(axes) != self.ndim:
-            raise ValueError(f"expected {self.ndim} axis arrays")
-        nd, letters = self.ndim, EINSUM_LETTERS
-        ops, subs = [self.coeffs], [letters[:2 * nd]]
-        node_letters = letters[2 * nd:3 * nd]
+    def derivative_grids(self, indices, axes):
+        """Yield D^alpha on the tensor grid spanned by one node array per
+        axis, for each alpha in `indices` in order.
+
+        Each node's cell and its row of (x - corner)^k/k! are found once per
+        axis; D^alpha then contracts, axis by axis, the coefficient rows
+        alpha_i.. of the nodes' cells with the leading power columns.
+        """
+        nd = self.ndim
+        if len(axes) != nd:
+            raise ValueError(f"expected {nd} axis arrays")
+        cells, powers = [], []
         for i, x in enumerate(axes):
             x = self._check_inside(i, np.asarray(x, float).reshape(-1))
             idx = self._locate(i, x)
-            block = np.zeros((x.size, self.cell_counts[i], self.degree[i] + 1))
-            block[np.arange(x.size), idx, :] = _powers(x - self.edges(i)[idx], self.degree[i])
-            ops.append(block)
-            subs.append(node_letters[i] + letters[i] + letters[nd + i])
-        spec = ",".join(subs) + "->" + node_letters
-        return np.einsum(spec, *ops, optimize=True)
+            cells.append(idx)
+            powers.append(_powers(x - self.edges(i)[idx], self.degree[i]))
+        shape = tuple(len(idx) for idx in cells)
+        for alpha in indices:
+            alpha = as_multiindex(alpha, ndim=nd)
+            if any(a > d for a, d in zip(alpha, self.degree)):
+                yield np.zeros(shape)
+                continue
+            # val: (cells_i.., degrees_i.., nodes_..i-1) before axis i is read.
+            val = self.coeffs
+            for i, a in enumerate(alpha):
+                rest = nd - i
+                val = np.take(val[(slice(None),) * rest + (slice(a, None),)], cells[i], axis=0)
+                val = np.einsum("nk,nk...->...n", powers[i][:, :self.degree[i] + 1 - a],
+                                np.moveaxis(val, rest, 1))
+            yield val
+
+    def eval_grid(self, axes) -> np.ndarray:
+        """Values on the tensor grid spanned by one node array per axis."""
+        return next(self.derivative_grids([(0,) * self.ndim], axes))
 
     # --------------------------------------------------------------- calculus
 
     def derivative(self, axis: int, order: int = 1) -> "PiecewisePoly":
         """Cellwise derivative along one axis (a.e. derivative for step pieces)."""
-        if order <= 0:
+        if order < 0:
+            raise ValueError(f"derivative order must be non-negative, got {order}")
+        if order == 0:
             return self
         dax = self.ndim + axis
         if order > self.degree[axis]:
@@ -238,7 +265,7 @@ class PiecewisePoly:
         return out
 
     def derivative_grid(self, alpha, axes) -> np.ndarray:
-        return self.mixed_derivative(alpha).eval_grid(axes)
+        return next(self.derivative_grids([alpha], axes))
 
     def antiderivative(self, axis: int) -> "PiecewisePoly":
         """Antiderivative vanishing at the lower boundary, continuous across breaks."""

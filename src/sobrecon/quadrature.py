@@ -195,25 +195,34 @@ def integrate(f, domain: HyperRect, rule: QuadratureRule | None = None) -> float
     return _contract(values, weights)
 
 
-def _deriv_values(obj, alpha, axes) -> np.ndarray:
+def _derivative_grids(obj, indices, axes):
+    """D^alpha obj on the grid for each alpha in `indices`, from the
+    object's own derivative_grids; a plain callable supplies alpha = 0 only."""
     shape = tuple(len(a) for a in axes)
-    if hasattr(obj, "derivative_grid"):
-        return np.broadcast_to(np.asarray(obj.derivative_grid(alpha, axes), float), shape)
-    if any(alpha):
-        raise TypeError(f"{type(obj).__name__} cannot supply derivatives")
-    return grid_values(obj, axes)
+    if hasattr(obj, "derivative_grids"):
+        for values in obj.derivative_grids(indices, axes):
+            yield np.broadcast_to(np.asarray(values, float), shape)
+        return
+    for alpha in indices:
+        if any(alpha):
+            raise TypeError(f"{type(obj).__name__} cannot supply derivatives")
+        yield grid_values(obj, axes)
 
 
 def error_components(f, g, indices, domain: HyperRect,
                      rule: QuadratureRule) -> dict:
     """Squared L2 norm of D^alpha (f - g) (of D^alpha f when g is None) for
-    every alpha in `indices`, in that order, from one quadrature grid."""
+    every alpha in `indices`, in that order, from one quadrature grid that
+    each operand reads once."""
     axes, weights = grid_quadrature(domain, rule)
+    indices = list(indices)
+    f_grids = _derivative_grids(f, indices, axes)
+    g_grids = None if g is None else _derivative_grids(g, indices, axes)
     components = {}
     for alpha in indices:
-        values = _deriv_values(f, alpha, axes)
-        if g is not None:
-            values = values - _deriv_values(g, alpha, axes)
+        values = next(f_grids)
+        if g_grids is not None:
+            values = values - next(g_grids)
         _check_finite(values, axes)
         components[alpha] = _contract(values * values, weights)
     return components

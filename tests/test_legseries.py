@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from sobrecon.core import HyperRect
+from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.legseries import LegendreSeries, legendre_values
 from sobrecon.piecewise import PiecewisePoly
 from sobrecon.projection import project_legendre
@@ -85,6 +85,11 @@ class TestCalculusMaps:
         xs = np.linspace(-1, 1, 13)
         assert np.allclose(f(xs), g(xs), rtol=1e-12, atol=1e-12)
 
+    def test_negative_derivative_order_rejected(self):
+        f = series_1d([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            f.derivative(0, -1)
+
 
 class TestTensor:
     def test_eval_grid_matches_pointwise(self):
@@ -117,6 +122,18 @@ class TestTensor:
         c = LegendreSeries.constant(3.5, 2)
         assert c(0.2, -0.8) == pytest.approx(3.5)
         assert c.l2_norm() == pytest.approx(3.5 * 2.0)  # 3.5 * sqrt(area of [-1,1]^2)
+
+    def test_derivative_grids_equal_single_reads(self):
+        """One basis table per axis serves every alpha, bit for bit: its
+        leading rows are the table of the lower-degree derivative."""
+        rng = np.random.default_rng(10)
+        f = LegendreSeries(rng.standard_normal((7, 5)))
+        axes = [np.linspace(-1, 1, 9), rng.uniform(-1, 1, 6)]
+        indices = multiindex_range((7, 5))
+        grids = list(f.derivative_grids(indices, axes))
+        assert len(grids) == len(indices)
+        for alpha, got in zip(indices, grids):
+            assert np.array_equal(got, f.mixed_derivative(alpha).eval_grid(axes)), alpha
 
     def test_mixed_derivative_grid(self):
         rng = np.random.default_rng(9)

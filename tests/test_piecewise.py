@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sobrecon.core import HyperRect
+from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.piecewise import PiecewisePoly, coeff_distance, sum_terms
 from sobrecon.projection import project_legendre
 from sobrecon.quadrature import QuadratureRule
@@ -73,6 +74,45 @@ class TestEval:
             for j, y in enumerate(ys):
                 assert grid[i, j] == pytest.approx(f(x, y), rel=1e-13, abs=1e-13)
 
+    @pytest.mark.parametrize("degree,n_breaks", [((4,), (3,)), ((3, 2), (2, 1)),
+                                                 ((2, 1, 2), (1, 2, 1))])
+    def test_derivative_grid_matches_pointwise(self, degree, n_breaks):
+        """Every D^alpha read on a grid whose nodes include every break and
+        both domain ends equals the pointwise value of mixed_derivative, and
+        at each cell's lower corner the stored coefficient of that cell."""
+        rng = np.random.default_rng(11)
+        nd = len(degree)
+        f = random_poly(rng, nd, degree, n_breaks)
+        axes = [np.sort(np.concatenate([f.edges(i), rng.uniform(-1, 1, 4)]))
+                for i in range(nd)]
+        corners = [np.searchsorted(axes[i], f.edges(i)[:-1]) for i in range(nd)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        for alpha in multiindex_range(tuple(d + 1 for d in degree)):
+            got = f.derivative_grid(alpha, axes)
+            want = f.mixed_derivative(alpha)(*mesh)
+            scale = max(np.max(np.abs(want)), 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, alpha
+            at_corners = got[np.ix_(*corners)]
+            if any(a > d for a, d in zip(alpha, degree)):
+                assert np.all(at_corners == 0.0)
+            else:
+                stored = f.coeffs[(Ellipsis,) + alpha]
+                assert np.max(np.abs(at_corners - stored)) <= 1e-13 * scale, alpha
+
+    def test_eval_grid_forms_no_one_hot_block(self):
+        """256 cells of degree 5 on 5344 nodes: a dense (nodes, cells,
+        degree+1) block would take 66 MB."""
+        rng = np.random.default_rng(12)
+        f = random_poly(rng, 1, (5,), (255,), HyperRect((0.0,), (1.0,)))
+        xs = np.linspace(0.0, 1.0, 5344)
+        tracemalloc.start()
+        try:
+            f.eval_grid([xs])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestCalculus:
     def test_derivative_shifts_kernels(self):
@@ -80,6 +120,12 @@ class TestCalculus:
         p3 = PiecewisePoly.kernel(dom, 0, 3)
         p2 = PiecewisePoly.kernel(dom, 0, 2)
         assert p3.derivative(0).allclose(p2, 1e-15)
+
+    def test_negative_derivative_order_rejected(self):
+        f = random_poly(np.random.default_rng(13))
+        for order in (-1, -2):
+            with pytest.raises(ValueError, match="non-negative"):
+                f.derivative(0, order)
 
     def test_derivative_of_step_is_zero(self):
         f = two_cell_step()

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sobrecon import legseries
 from sobrecon.analytic import get_example
-from sobrecon.core import HyperRect
+from sobrecon.core import HyperRect, multiindex_range
+from sobrecon.legseries import LegendreSeries
 from sobrecon.expansion import reconstruct
 from sobrecon.piecewise import PiecewisePoly
 from sobrecon.quadrature import (
@@ -13,6 +15,7 @@ from sobrecon.quadrature import (
     axis_quadrature,
     dc_error,
     dc_norm,
+    error_components,
     integrate,
     l2_error,
     l2_norm,
@@ -138,6 +141,22 @@ class TestNorms:
         f = PiecewisePoly(dom, (np.array([]),), np.array([[-1.0, 1.0]]))  # x
         err = l2_error(lambda x: x, f, dom, QuadratureRule(nodes=4, panels=2))
         assert err <= 1e-14
+
+    def test_error_components_build_one_basis_table_per_axis(self, monkeypatch):
+        calls = []
+        values = legseries.legendre_values
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return values(*args, **kwargs)
+
+        monkeypatch.setattr(legseries, "legendre_values", counted)
+        u = get_example("poly-random", seed=3, delta=(5,))
+        series = LegendreSeries(np.random.default_rng(3).standard_normal(41))
+        comp = error_components(u, series, multiindex_range((5,)), u.domain,
+                                QuadratureRule(nodes=8, panels=4))
+        assert len(comp) == 6
+        assert calls == [40]
 
 
 class TestDcNorm:
