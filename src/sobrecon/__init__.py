@@ -8,7 +8,7 @@ approximations that converge in Sobolev norms by projecting the traces
 (Legendre or step-function basis) instead of the function itself.
 """
 
-from .analytic import AnalyticFunction, available_examples, get_example
+from .analytic import AnalyticFunction
 from .bench import FIGURES, SweepResult, fit_slope, run_sweep, sweep_point
 from .core import (
     FaceSpec,
@@ -48,7 +48,7 @@ from .quadrature import (
     sobolev_error,
     sobolev_norm,
 )
-from .targets import example1, example2, random_poly_function
+from .targets import available_examples, example1, example2, get_example, random_poly_function
 
 __version__ = "0.1.0"
 

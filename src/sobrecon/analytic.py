@@ -134,30 +134,3 @@ def finite_difference_error(u: AnalyticFunction, alpha, axis: int, points,
         exact = float(hi_ev(*p))
         worst = max(worst, abs(fd - exact) / max(abs(exact), 1.0))
     return worst
-
-
-_REGISTRY: dict[str, Callable] = {}
-
-
-def register_example(name: str, factory: Callable):
-    _REGISTRY[name] = factory
-
-
-def available_examples() -> list[str]:
-    _load_builtins()
-    return sorted(_REGISTRY)
-
-
-def get_example(name: str, **kwargs) -> AnalyticFunction:
-    """Look up a named example target ("example1-1d", "example2-2d",
-    "poly-random")."""
-    _load_builtins()
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown example {name!r}; have {sorted(_REGISTRY)}") from None
-    return factory(**kwargs)
-
-
-def _load_builtins():
-    from . import targets  # noqa: F401  (registers on import)

@@ -18,19 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .core import MultiIndex, as_multiindex, multiindex_range
-from .projection import cell_edges, sobolev_project_legendre, sobolev_project_step
+from .core import as_multiindex, multiindex_range
+from .piecewise import PiecewisePoly
+from .projection import sobolev_project_legendre, sobolev_project_step
 from .quadrature import QuadratureRule, error_components, norm_index_set, rule_for
 from .verify import CheckResult
 
 
 @dataclass
 class SweepResult:
-    """Errors of one (example, method, order) sweep over a parameter list."""
+    """Errors of one sweep over a parameter list."""
 
-    example: str
-    method: str
-    gamma: MultiIndex
     params: list[int]
     l2: list[float]
     s: list[float]
@@ -57,87 +55,74 @@ class SweepResult:
         return col[-1] / col[0]
 
 
-def error_norms(u: AnalyticFunction, approx, order, rule) -> tuple[float, float, float]:
-    """(L2, mixed-order, isotropic) error norms in one quadrature pass."""
-    order = as_multiindex(order, ndim=u.domain.ndim)
-    comp = error_components(u, approx, multiindex_range(order), u.domain, rule)
+def error_norms(u: AnalyticFunction, approx, rule) -> tuple[float, float, float]:
+    """(L2, mixed, isotropic) error norms at the target's order u.delta, in
+    one quadrature pass."""
+    comp = error_components(u, approx, multiindex_range(u.delta), u.domain, rule)
     zero = (0,) * u.domain.ndim
-    simplex = set(norm_index_set(order, "isotropic"))
+    simplex = set(norm_index_set(u.delta, "isotropic"))
     l2 = math.sqrt(max(comp[zero], 0.0))
     s = math.sqrt(max(sum(comp.values()), 0.0))
     w = math.sqrt(max(sum(v for a, v in comp.items() if a in simplex), 0.0))
     return l2, s, w
 
 
-def norm_rule(u: AnalyticFunction, approx, extra_splits=None, panels=None,
-              grade_ratio=None) -> QuadratureRule:
+def norm_rule(u: AnalyticFunction, approx, panels=None) -> QuadratureRule:
     """Quadrature rule for the error norms of `approx` against `u`.
 
-    `extra_splits` are the approximant's cell edges (None for a global
-    polynomial).  When `u` declares `piece_degree`, (D^alpha (u - approx))^2
-    is a polynomial of degree at most 2 * max(deg u, deg approx) on each
-    cell of the common refinement, so max(deg u, deg approx) + 1 Gauss
-    nodes on each cell (`panels` subdivides further) integrate it exactly
-    up to rounding.  Other targets get a flat 16-node rule on 32 (1-D) or
-    16 (otherwise) baseline panels per axis."""
+    The rule splits at the approximant's cell edges (`approx.breaks` of a
+    piecewise polynomial; a Legendre series has none).  When `u` declares
+    `piece_degree`, (D^alpha (u - approx))^2 is a polynomial of degree at
+    most 2 * max(deg u, deg approx) on each cell of the common refinement,
+    so max(deg u, deg approx) + 1 Gauss nodes on each cell (`panels`
+    subdivides further) integrate it exactly up to rounding.  Other targets
+    get a flat 16-node rule on 32 (1-D) or 16 (otherwise) baseline panels
+    per axis."""
+    splits = approx.breaks if isinstance(approx, PiecewisePoly) else None
     if u.piece_degree is not None:
         nodes = max(max(u.piece_degree), max(approx.degree)) + 1
-        return rule_for(u, extra_splits=extra_splits, nodes=nodes,
-                        panels=panels or 1, grade_ratio=grade_ratio)
+        return rule_for(u, extra_splits=splits, nodes=nodes, panels=panels or 1)
     if panels is None:
         panels = 32 if u.domain.ndim == 1 else 16
-    return rule_for(u, extra_splits=extra_splits, panels=panels,
-                    grade_ratio=grade_ratio)
+    return rule_for(u, extra_splits=splits, panels=panels)
 
 
-def approximant(u: AnalyticFunction, method: str, gamma, param: int,
-                nodes=None, grade_ratio=None):
-    """The order-`gamma` projection of `u` at one sweep parameter, and its
-    cell edges (None for a Legendre series)."""
-    nd = u.domain.ndim
-    gamma = as_multiindex(gamma, ndim=nd)
+def approximant(u: AnalyticFunction, method: str, gamma, param: int, nodes=None):
+    """The order-`gamma` projection of `u` at one sweep parameter."""
+    size = (int(param),) * u.domain.ndim
     if method == "legendre":
-        degree = (int(param),) * nd
-        proj_rule = rule_for(u, nodes=nodes or max(16, param + 8), panels=4,
-                             grade_ratio=grade_ratio)
-        return sobolev_project_legendre(u, gamma, degree, proj_rule), None
+        rule = QuadratureRule(nodes=nodes or max(16, param + 8), panels=4)
+        return sobolev_project_legendre(u, gamma, size, rule)
     if method == "step":
-        counts = (int(param),) * nd
-        edges = cell_edges(counts, nd)
-        proj_rule = rule_for(u, nodes=nodes or 16, panels=4, extra_splits=edges,
-                             grade_ratio=grade_ratio)
-        return sobolev_project_step(u, gamma, counts, proj_rule), edges
+        rule = QuadratureRule(nodes=nodes or 16, panels=4)
+        return sobolev_project_step(u, gamma, size, rule)
     raise ValueError(f"unknown method {method!r}; use 'legendre' or 'step'")
 
 
 def sweep_point(u: AnalyticFunction, method: str, gamma, param: int,
-                norm_order=None, nodes=None, panels=None, grade_ratio=None):
+                nodes=None, panels=None):
     """Build one approximant and return (l2, s, w, runtime_seconds)."""
-    nd = u.domain.ndim
-    norm_order = u.delta if norm_order is None else as_multiindex(norm_order, ndim=nd)
     start = time.perf_counter()
-    approx, edges = approximant(u, method, gamma, param, nodes, grade_ratio)
-    rule = norm_rule(u, approx, edges, panels, grade_ratio)
-    l2, s, w = error_norms(u, approx, norm_order, rule)
+    approx = approximant(u, method, gamma, param, nodes)
+    l2, s, w = error_norms(u, approx, norm_rule(u, approx, panels))
     return l2, s, w, time.perf_counter() - start
 
 
 def run_sweep(u: AnalyticFunction, method: str, gamma, params,
-              norm_order=None, nodes=None, panels=None, grade_ratio=None,
-              example_name: str | None = None) -> SweepResult:
+              nodes=None, panels=None) -> SweepResult:
     """Sweep the approximation parameter; point failures are recorded and
     the sweep continues with NaN entries."""
     gamma = as_multiindex(gamma, ndim=u.domain.ndim)
     params = [int(p) for p in params]
+    if not params:
+        raise ValueError("need at least one parameter value")
     if any(b >= a for a, b in zip(params[1:], params[:-1])):
         raise ValueError("parameter values must increase strictly")
 
-    result = SweepResult(example_name or u.name, method, gamma, params,
-                         [], [], [], [])
+    result = SweepResult(params, [], [], [], [])
     for param in params:
         try:
-            row = sweep_point(u, method, gamma, param, norm_order, nodes, panels,
-                              grade_ratio)
+            row = sweep_point(u, method, gamma, param, nodes, panels)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             result.failures.append((param, f"{type(exc).__name__}: {exc}"))
             row = (math.nan, math.nan, math.nan, math.nan)

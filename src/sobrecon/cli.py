@@ -13,10 +13,10 @@ import sys
 import numpy as np
 
 from . import bench
-from .analytic import available_examples, get_example
 from .core import as_multiindex, multiindex_range
 from .expansion import term_at_point
 from .quadrature import rule_for
+from .targets import available_examples, get_example
 from .verify import run_suite
 
 
@@ -46,9 +46,17 @@ def _quad_kwargs(args) -> dict:
         out["nodes"] = args.quad_nodes
     if args.quad_panels is not None:
         out["panels"] = args.quad_panels
-    if args.quad_grade is not None:
-        out["grade_ratio"] = args.quad_grade
     return out
+
+
+def _sweep_params(args, method: str, default) -> list[int]:
+    """The sweep's parameter list: --degrees for a Legendre sweep, --cells
+    for a step sweep; the other method's flag is refused."""
+    own, other = ("degrees", "cells") if method == "legendre" else ("cells", "degrees")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--{other} does not apply to a {method} sweep; use --{own}")
+    text = getattr(args, own)
+    return list(default if text is None else _parse_ints(text))
 
 
 def _csv_name(example: str, method: str, gamma) -> str:
@@ -59,11 +67,7 @@ def cmd_reproduce(args) -> int:
     figure = args.figure
     preset = bench.FIGURES[figure]
     u = get_example(preset["example"])
-    params = list(preset["params"])
-    if args.degrees is not None and preset["method"] == "legendre":
-        params = list(_parse_ints(args.degrees))
-    if args.cells is not None and preset["method"] == "step":
-        params = list(_parse_ints(args.cells))
+    params = _sweep_params(args, preset["method"], preset["params"])
     os.makedirs(args.out, exist_ok=True)
 
     sweeps = {}
@@ -103,7 +107,7 @@ def cmd_expand(args) -> int:
     if len(point) != nd:
         print(f"point needs {nd} coordinates", file=sys.stderr)
         return 2
-    rule = rule_for(u, **{k: v for k, v in _quad_kwargs(args).items()})
+    rule = rule_for(u, **_quad_kwargs(args))
 
     print(f"expansion of {u.name or args.example} at point {point}, order {delta}")
     header = f"{'alpha':>12} {'face':>12} {'term':>24}"
@@ -127,12 +131,8 @@ def cmd_expand(args) -> int:
 def cmd_sweep(args) -> int:
     u = _example(args)
     gamma = _gamma_for(u, args.gamma)
-    if args.method == "legendre":
-        params = _parse_ints(args.degrees or "2,4,8,16,32")
-    else:
-        params = _parse_ints(args.cells or "2,4,8,16,32")
-    result = bench.run_sweep(u, args.method, gamma, list(params),
-                             example_name=args.example, **_quad_kwargs(args))
+    params = _sweep_params(args, args.method, (2, 4, 8, 16, 32))
+    result = bench.run_sweep(u, args.method, gamma, params, **_quad_kwargs(args))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, _csv_name(args.example, args.method, gamma))
     result.write_csv(path)
@@ -151,8 +151,6 @@ def _add_quad_flags(parser):
                         help="Gauss nodes per panel")
     parser.add_argument("--quad-panels", type=int, default=None,
                         help="baseline panels per axis")
-    parser.add_argument("--quad-grade", type=float, default=None,
-                        help="geometric grading ratio toward singular points")
 
 
 def build_parser() -> argparse.ArgumentParser:

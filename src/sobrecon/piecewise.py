@@ -387,24 +387,6 @@ class PiecewisePoly:
         breaks[axis] = new_breaks
         return PiecewisePoly._make(self.domain, tuple(breaks), out)
 
-    def refine(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        """This polynomial re-expressed on the union of both break grids."""
-        if self.domain != other.domain:
-            raise ValueError("operands live on different domains")
-        out = self
-        for i in range(self.ndim):
-            out = out._refine_axis(i, other.breaks[i])
-        return out
-
-    def _pad_degree(self, degree: MultiIndex) -> "PiecewisePoly":
-        if tuple(degree) == self.degree:
-            return self
-        if any(d < cur for d, cur in zip(degree, self.degree)):
-            raise ValueError("cannot reduce degree by padding")
-        out = np.zeros(self.cell_counts + tuple(d + 1 for d in degree))
-        out[tuple(slice(0, s) for s in self.coeffs.shape)] = self.coeffs
-        return PiecewisePoly._make(self.domain, self.breaks, out)
-
     def __add__(self, other):
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
@@ -515,8 +497,10 @@ def sum_terms(terms: Iterable[PiecewisePoly]) -> PiecewisePoly:
 def coeff_distance(f: PiecewisePoly, g: PiecewisePoly) -> float:
     """Max coefficient difference on the common refinement, relative to the
     largest coefficient magnitude of either operand (0-safe)."""
-    a, b = f.refine(g), g.refine(f)
-    degree = tuple(max(x, y) for x, y in zip(a.degree, b.degree))
-    a, b = a._pad_degree(degree), b._pad_degree(degree)
+    if f.domain != g.domain:
+        raise ValueError("operands live on different domains")
+    breaks = tuple(_union(x, y) for x, y in zip(f.breaks, g.breaks))
+    degree = tuple(max(x, y) for x, y in zip(f.degree, g.degree))
+    a, b = (_accumulate(_zeros(f.domain, breaks, degree), (h,)) for h in (f, g))
     scale = max(np.max(np.abs(a.coeffs)), np.max(np.abs(b.coeffs)), 1e-300)
     return float(np.max(np.abs(a.coeffs - b.coeffs)) / scale)

@@ -32,31 +32,31 @@ def cell_edges(counts, ndim: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(np.linspace(-1.0, 1.0, k + 1)[1:-1]) for k in counts)
 
 
-def _legendre_from_grid(f, degree: MultiIndex, axes, weights) -> LegendreSeries:
-    values = grid_values(f, axes)
-    ops, subs = [values], [EINSUM_LETTERS[: len(axes)]]
+def _grid_coefficients(f, tables, axes) -> np.ndarray:
+    """Contract the values of f on the tensor grid of `axes` with one
+    (coefficients, nodes) table per axis, quadrature weights included."""
+    ops, subs = [grid_values(f, axes)], [EINSUM_LETTERS[: len(axes)]]
     out = EINSUM_LETTERS[len(axes): 2 * len(axes)]
-    for i, (x, w) in enumerate(zip(axes, weights)):
-        ops.append(legendre_values(degree[i], x) * w[None, :])
+    for i, table in enumerate(tables):
+        ops.append(table)
         subs.append(out[i] + EINSUM_LETTERS[i])
-    coeffs = np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
-    return LegendreSeries(coeffs)
+    return np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
+
+
+def _legendre_from_grid(f, degree: MultiIndex, axes, weights) -> LegendreSeries:
+    tables = [legendre_values(d, x) * w[None, :] for d, x, w in zip(degree, axes, weights)]
+    return LegendreSeries(_grid_coefficients(f, tables, axes))
 
 
 def _cell_averages_from_grid(f, counts: MultiIndex, axes, weights) -> np.ndarray:
-    values = grid_values(f, axes)
-    ops, subs = [values], [EINSUM_LETTERS[: len(axes)]]
-    out = EINSUM_LETTERS[len(axes): 2 * len(axes)]
-    for i, (x, w) in enumerate(zip(axes, weights)):
-        k = counts[i]
+    tables = []
+    for k, x, w in zip(counts, axes, weights):
         idx = np.clip(((x + 1.0) * 0.5 * k).astype(int), 0, k - 1)
         agg = np.zeros((k, x.size))
         agg[idx, np.arange(x.size)] = w
-        ops.append(agg)
-        subs.append(out[i] + EINSUM_LETTERS[i])
-    sums = np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
+        tables.append(agg)
     volume = math.prod(2.0 / k for k in counts)
-    return sums / volume
+    return _grid_coefficients(f, tables, axes) / volume
 
 
 def project_legendre(f, degree, rule: QuadratureRule | None = None) -> LegendreSeries:
@@ -109,12 +109,13 @@ def sobolev_project_legendre(u: AnalyticFunction, gamma, degree,
     polynomials of (face-restricted) degree `degree`, then reassemble.
 
     The result is a polynomial of degree at most degree + gamma per axis.
-    At order zero this is the plain L2 Legendre projection of u.
+    At order zero this is the plain L2 Legendre projection of u.  The rule
+    is completed with u's splits and grading by `rule_for(u, base=rule)`.
     """
     nd = u.domain.ndim
     gamma = as_multiindex(gamma, ndim=nd)
     degree = as_multiindex(degree, ndim=nd)
-    rule = rule or rule_for(u, nodes=max(16, max(degree) + 8), panels=8)
+    rule = rule_for(u, base=rule or QuadratureRule(nodes=max(16, max(degree) + 8), panels=8))
 
     def project_face(trace, axes, weights):
         act = trace.active

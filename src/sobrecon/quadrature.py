@@ -71,8 +71,7 @@ class QuadratureRule:
 
 
 def rule_for(u=None, *, ndim=None, base: QuadratureRule | None = None,
-             extra_splits=None, nodes=None, panels=None,
-             grade_ratio: float | None = None) -> QuadratureRule:
+             extra_splits=None, nodes=None, panels=None) -> QuadratureRule:
     """Concrete rule for a target function: splits at its breakpoints and
     geometric grading toward its singular points."""
     base = base or QuadratureRule()
@@ -88,10 +87,7 @@ def rule_for(u=None, *, ndim=None, base: QuadratureRule | None = None,
             sing = tuple(getattr(u, "singular_points", ((),) * ndim)[i])
             splits[i] |= set(float(s) for s in sing)
             if sing and grading[i] is None:
-                if grade_ratio is None:
-                    grading[i] = AxisGrading(center=float(sing[0]))
-                else:
-                    grading[i] = AxisGrading(center=float(sing[0]), ratio=grade_ratio)
+                grading[i] = AxisGrading(center=float(sing[0]))
     if extra_splits is not None:
         for i in range(ndim):
             splits[i] |= set(float(s) for s in extra_splits[i])

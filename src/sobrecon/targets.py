@@ -17,7 +17,7 @@ import math
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .analytic import AnalyticFunction, register_example
+from .analytic import AnalyticFunction
 from .core import HyperRect, as_multiindex, multiindex_range
 from .piecewise import PiecewisePoly
 
@@ -120,6 +120,22 @@ def random_poly_function(seed: int = 0, ndim: int = 1, delta=(2,),
     )
 
 
-register_example("example1-1d", example1)
-register_example("example2-2d", example2)
-register_example("poly-random", random_poly_function)
+EXAMPLES = {
+    "example1-1d": example1,
+    "example2-2d": example2,
+    "poly-random": random_poly_function,
+}
+
+
+def available_examples() -> list[str]:
+    return sorted(EXAMPLES)
+
+
+def get_example(name: str, **kwargs) -> AnalyticFunction:
+    """Look up a named example target ("example1-1d", "example2-2d",
+    "poly-random")."""
+    try:
+        factory = EXAMPLES[name]
+    except KeyError:
+        raise KeyError(f"unknown example {name!r}; have {sorted(EXAMPLES)}") from None
+    return factory(**kwargs)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import projection
 from .core import HyperRect, as_multiindex, face_spec, multiindex_range
 from .expansion import (
     PolyTraceBundle,
@@ -25,7 +26,8 @@ from .expansion import (
     reconstruct,
 )
 from .piecewise import PiecewisePoly, coeff_distance
-from .quadrature import QuadratureRule, rule_for, sobolev_norm
+from .quadrature import QuadratureRule, dc_error, l2_error, rule_for, sobolev_norm
+from .targets import get_example
 
 ROUNDTRIP_CONFIGS = (
     (1, (2,)),
@@ -215,10 +217,6 @@ def optimality_suite(seed: int = 42, trials: int = 50) -> list[CheckResult]:
     First-order optimality over a finite-dimensional subspace is equivalent
     to non-improvement under perturbations within it, so each check nudges
     the projection by eps * q for random subspace directions q."""
-    from . import projection
-    from .analytic import get_example
-    from .quadrature import dc_error, l2_error
-
     results = []
     slack = 1e-12
     epsilons = (-1e-1, -1e-3, 1e-3, 1e-1)

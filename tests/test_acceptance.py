@@ -9,9 +9,9 @@ import time
 
 import pytest
 
-from sobrecon.analytic import get_example
 from sobrecon.bench import FIGURES, figure_criteria, fit_slope, run_sweep, sweep_point
 from sobrecon.quadrature import integrate, rule_for
+from sobrecon.targets import get_example
 from sobrecon.verify import identity_suite, optimality_suite, roundtrip_suite
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sobrecon.analytic import AnalyticFunction, get_example
+from sobrecon.analytic import AnalyticFunction
 from sobrecon.bench import (
     SweepResult,
     approximant,
@@ -16,13 +16,15 @@ from sobrecon.bench import (
     sweep_point,
 )
 from sobrecon.core import HyperRect
+from sobrecon.projection import cell_edges
 from sobrecon.quadrature import grid_quadrature, rule_for
+from sobrecon.targets import get_example
 
 
 def synthetic_result(params, errors):
     n = len(params)
-    return SweepResult("syn", "legendre", (0,), list(params), list(errors),
-                       list(errors), list(errors), [0.0] * n)
+    return SweepResult(list(params), list(errors), list(errors), list(errors),
+                       [0.0] * n)
 
 
 class TestFitSlope:
@@ -92,6 +94,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="increase strictly"):
             run_sweep(u, "step", (0,), [8, 4])
 
+    def test_rejects_empty_params(self):
+        with pytest.raises(ValueError, match="at least one"):
+            run_sweep(get_example("example1-1d"), "step", (0,), [])
+
     def test_failures_recorded_and_sweep_continues(self):
         u = get_example("example1-1d")
         r = run_sweep(u, "step", (0,), [2, 4, 8])
@@ -129,17 +135,34 @@ class TestDegreeSizedNormRule:
         ("legendre", (3, 3), 32), ("legendre", (0, 0), 32), ("step", (2, 2), 64)])
     def test_matches_finer_and_flat_rules(self, method, gamma, param):
         u = get_example("example2-2d")
-        approx, edges = approximant(u, method, gamma, param)
-        rule = norm_rule(u, approx, edges)
+        approx = approximant(u, method, gamma, param)
+        rule = norm_rule(u, approx)
+        edges = cell_edges((param,) * 2, 2) if method == "step" else None
         flat = rule_for(u, extra_splits=edges, panels=16)
         axis_nodes = [len(grid_quadrature(u.domain, r)[0][0]) for r in (rule, flat)]
         assert axis_nodes[0] < axis_nodes[1]
-        got = error_norms(u, approx, u.delta, rule)
+        got = error_norms(u, approx, rule)
         finer = dataclasses.replace(rule, nodes=rule.nodes + 8)
-        np.testing.assert_allclose(got, error_norms(u, approx, u.delta, finer),
+        np.testing.assert_allclose(got, error_norms(u, approx, finer),
                                    rtol=1e-10, atol=0)
-        np.testing.assert_allclose(got, error_norms(u, approx, u.delta, flat),
+        np.testing.assert_allclose(got, error_norms(u, approx, flat),
                                    rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("name, gamma, param", [
+        ("example1-1d", (5,), 64), ("example2-2d", (3, 3), 64), ("example2-2d", (1, 1), 8)])
+    def test_rule_splits_at_the_approximant_cells(self, name, gamma, param):
+        """The norm rule reads its splits from the approximant: the step
+        approximant's breaks are its cell edges, a Legendre series has none."""
+        u = get_example(name)
+        nd = u.domain.ndim
+        for method, edges in (("step", cell_edges((param,) * nd, nd)), ("legendre", None)):
+            approx = approximant(u, method, gamma, param)
+            if u.piece_degree is None:
+                want = rule_for(u, extra_splits=edges, panels=32 if nd == 1 else 16)
+            else:
+                nodes = max(max(u.piece_degree), max(approx.degree)) + 1
+                want = rule_for(u, extra_splits=edges, nodes=nodes, panels=1)
+            assert norm_rule(u, approx) == want
 
 
 def test_csv_roundtrip(tmp_path):

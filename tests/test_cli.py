@@ -89,6 +89,21 @@ class TestReproduceCommand:
         assert "PASS fig4 exact recovery at K=4 (S)" in out
         assert (tmp_path / "example2-2d_step_gamma3-3.csv").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["reproduce", "fig2", "--degrees", "2,4"], "--degrees"),
+        (["reproduce", "fig1", "--cells", "2,4"], "--cells"),
+        (["sweep", "--example", "example1-1d", "--method", "step", "--degrees", "4,8"],
+         "--degrees"),
+        (["sweep", "--example", "example1-1d", "--method", "legendre", "--cells", "4,8"],
+         "--cells"),
+    ])
+    def test_other_methods_parameter_flag_exits_2(self, argv, flag, tmp_path, capsys):
+        code = main(argv + ["--out", str(tmp_path / "results")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not (tmp_path / "results").exists()
+
     def test_unknown_example_exits_2(self, capsys):
         code = main(["sweep", "--example", "nope", "--method", "step"])
         assert code == 2

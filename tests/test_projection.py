@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from sobrecon.analytic import get_example
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.expansion import extract_traces_poly
 from sobrecon.legseries import LegendreSeries
@@ -16,8 +15,8 @@ from sobrecon.projection import (
     sobolev_project_legendre,
     sobolev_project_step,
 )
-from sobrecon.quadrature import dc_error, dc_norm, l2_error, rule_for
-from sobrecon.targets import v_derivative
+from sobrecon.quadrature import QuadratureRule, dc_error, dc_norm, l2_error, rule_for
+from sobrecon.targets import get_example, v_derivative
 
 
 class TestLegendreProjection:
@@ -214,6 +213,14 @@ class TestSobolevLegendre:
         u = get_example("example1-1d")
         with pytest.raises(ValueError, match="exceeds smoothness"):
             sobolev_project_legendre(u, (6,), (4,))
+
+    def test_completes_a_bare_rule_for_the_target(self):
+        """A bare rule gets the target's splits and grading, as the step
+        projection's does."""
+        u = get_example("example1-1d")
+        bare = sobolev_project_legendre(u, (5,), (16,), QuadratureRule(nodes=24, panels=4))
+        full = sobolev_project_legendre(u, (5,), (16,), rule_for(u, nodes=24, panels=4))
+        assert np.array_equal(bare.coeffs, full.coeffs)
 
 
 class TestSobolevStep:

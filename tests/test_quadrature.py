@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sobrecon import legseries
-from sobrecon.analytic import get_example
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.legseries import LegendreSeries
 from sobrecon.expansion import reconstruct
@@ -23,6 +22,7 @@ from sobrecon.quadrature import (
     rule_for,
     sobolev_norm,
 )
+from sobrecon.targets import get_example
 from sobrecon.verify import random_domain, random_trace_bundle
 
 

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from sobrecon.analytic import (
-    available_examples,
-    finite_difference_error,
-    get_example,
-)
+from sobrecon.analytic import finite_difference_error
 from sobrecon.core import active_axes, face_spec, multiindex_range
 from sobrecon.projection import project_legendre
 from sobrecon.quadrature import QuadratureRule
-from sobrecon.targets import example1, example2, v_derivative
+from sobrecon.targets import available_examples, example1, example2, get_example, v_derivative
 
 
 class TestExample1:
