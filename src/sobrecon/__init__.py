@@ -17,36 +17,26 @@ from .core import (
     TraceFunction,
     active_axes,
     face_spec,
-    lattice_size,
     multiindex_range,
 )
 from .expansion import (
     PolyTraceBundle,
     apply_tensor,
-    bundle_from,
     extract_traces_poly,
     fund_int_pair,
     reconstruct,
 )
 from .legseries import LegendreSeries, legendre_values
 from .piecewise import PiecewisePoly, coeff_distance
-from .projection import (
-    project_legendre,
-    project_step,
-    sobolev_project_legendre,
-    sobolev_project_step,
-)
+from .projection import sobolev_project_legendre, sobolev_project_step
 from .quadrature import (
     AxisGrading,
     QuadratureRule,
     dc_error,
-    dc_norm,
     integrate,
     l2_error,
-    l2_norm,
     rule_for,
     sobolev_error,
-    sobolev_norm,
 )
 from .targets import available_examples, example1, example2, get_example, random_poly_function
 
@@ -68,10 +58,8 @@ __all__ = [
     "active_axes",
     "apply_tensor",
     "available_examples",
-    "bundle_from",
     "coeff_distance",
     "dc_error",
-    "dc_norm",
     "example1",
     "example2",
     "extract_traces_poly",
@@ -81,18 +69,13 @@ __all__ = [
     "get_example",
     "integrate",
     "l2_error",
-    "l2_norm",
-    "lattice_size",
     "legendre_values",
     "multiindex_range",
-    "project_legendre",
-    "project_step",
     "random_poly_function",
     "reconstruct",
     "rule_for",
     "run_sweep",
     "sobolev_error",
-    "sobolev_norm",
     "sobolev_project_legendre",
     "sobolev_project_step",
     "sweep_point",

@@ -32,8 +32,9 @@ class AnalyticFunction:
     ``derivatives`` maps every multi-index alpha <= delta (exactly that set)
     to a vectorized evaluator of D^alpha; the zero index must evaluate the
     function itself.  ``breakpoints`` lists interior points per axis where
-    some derivative loses smoothness; ``singular_points`` the subset where a
-    derivative is unbounded (quadrature grades its panels toward these).
+    some derivative loses smoothness; ``singular_points`` at most one point
+    per axis where a derivative is unbounded (quadrature grades its panels
+    toward it, and grading has one center per axis).
     ``piece_degree``, when given, states that the function is a polynomial
     of at most that degree per axis between its breakpoints, so its error
     norms can be integrated exactly by degree-sized Gauss rules.
@@ -68,6 +69,8 @@ class AnalyticFunction:
         sp = tuple(tuple(float(x) for x in axis) for axis in sp)
         if len(bp) != nd or len(sp) != nd:
             raise ValueError("breakpoints and singular_points need one tuple per axis")
+        if any(len(axis) > 1 for axis in sp):
+            raise ValueError(f"at most one singular point per axis, got {sp}")
         for i in range(nd):
             for x in bp[i] + sp[i]:
                 if not self.domain.lo[i] < x < self.domain.hi[i]:

@@ -21,7 +21,7 @@ from .analytic import AnalyticFunction
 from .core import as_multiindex, multiindex_range
 from .piecewise import PiecewisePoly
 from .projection import sobolev_project_legendre, sobolev_project_step
-from .quadrature import QuadratureRule, error_components, norm_index_set, rule_for
+from .quadrature import QuadratureRule, error_components, rule_for
 from .verify import CheckResult
 
 
@@ -60,10 +60,10 @@ def error_norms(u: AnalyticFunction, approx, rule) -> tuple[float, float, float]
     one quadrature pass."""
     comp = error_components(u, approx, multiindex_range(u.delta), u.domain, rule)
     zero = (0,) * u.domain.ndim
-    simplex = set(norm_index_set(u.delta, "isotropic"))
+    cap = max(u.delta)  # the isotropic norm reads the simplex |alpha|_1 <= max(delta)
     l2 = math.sqrt(max(comp[zero], 0.0))
     s = math.sqrt(max(sum(comp.values()), 0.0))
-    w = math.sqrt(max(sum(v for a, v in comp.items() if a in simplex), 0.0))
+    w = math.sqrt(max(sum(v for a, v in comp.items() if sum(a) <= cap), 0.0))
     return l2, s, w
 
 
@@ -81,7 +81,8 @@ def norm_rule(u: AnalyticFunction, approx, panels=None) -> QuadratureRule:
     splits = approx.breaks if isinstance(approx, PiecewisePoly) else None
     if u.piece_degree is not None:
         nodes = max(max(u.piece_degree), max(approx.degree)) + 1
-        return rule_for(u, extra_splits=splits, nodes=nodes, panels=panels or 1)
+        return rule_for(u, extra_splits=splits, nodes=nodes,
+                        panels=1 if panels is None else panels)
     if panels is None:
         panels = 32 if u.domain.ndim == 1 else 16
     return rule_for(u, extra_splits=splits, panels=panels)
@@ -91,10 +92,10 @@ def approximant(u: AnalyticFunction, method: str, gamma, param: int, nodes=None)
     """The order-`gamma` projection of `u` at one sweep parameter."""
     size = (int(param),) * u.domain.ndim
     if method == "legendre":
-        rule = QuadratureRule(nodes=nodes or max(16, param + 8), panels=4)
+        rule = QuadratureRule(nodes=max(16, param + 8) if nodes is None else nodes, panels=4)
         return sobolev_project_legendre(u, gamma, size, rule)
     if method == "step":
-        rule = QuadratureRule(nodes=nodes or 16, panels=4)
+        rule = QuadratureRule(nodes=16 if nodes is None else nodes, panels=4)
         return sobolev_project_step(u, gamma, size, rule)
     raise ValueError(f"unknown method {method!r}; use 'legendre' or 'step'")
 
@@ -151,17 +152,6 @@ def fit_slope(result: SweepResult, norm: str = "l2", window=None) -> float:
     x = np.log([p for p, _ in pairs])
     y = np.log([e for _, e in pairs])
     return float(np.polyfit(x, y, 1)[0])
-
-
-def monotone_ratio_ok(result: SweepResult, norm: str = "l2",
-                      uptick: float = 0.05, drop: float = 0.1) -> bool:
-    """Decreasing trend check: no uptick beyond the tolerance and an overall
-    drop below `drop` * first error."""
-    col = result.column(norm)
-    for a, b in zip(col[:-1], col[1:]):
-        if b > a * (1.0 + uptick):
-            return False
-    return col[-1] < col[0] * drop
 
 
 # ------------------------------------------------------------ figure presets

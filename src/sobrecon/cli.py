@@ -15,7 +15,7 @@ import numpy as np
 from . import bench
 from .core import as_multiindex, multiindex_range
 from .expansion import term_at_point
-from .quadrature import rule_for
+from .quadrature import QuadratureRule, rule_for
 from .targets import available_examples, get_example
 from .verify import run_suite
 
@@ -41,11 +41,14 @@ def _example(args) -> "AnalyticFunction":
 
 
 def _quad_kwargs(args) -> dict:
+    """The --quad-nodes / --quad-panels values given, checked here, so a
+    size that no rule accepts stops the command before any point runs."""
     out = {}
     if args.quad_nodes is not None:
         out["nodes"] = args.quad_nodes
     if args.quad_panels is not None:
         out["panels"] = args.quad_panels
+    QuadratureRule(**out)  # raises ValueError on a refused size
     return out
 
 
@@ -68,12 +71,12 @@ def cmd_reproduce(args) -> int:
     preset = bench.FIGURES[figure]
     u = get_example(preset["example"])
     params = _sweep_params(args, preset["method"], preset["params"])
+    quad = _quad_kwargs(args)
     os.makedirs(args.out, exist_ok=True)
 
     sweeps = {}
     for gamma in preset["gammas"]:
-        result = bench.run_sweep(u, preset["method"], gamma, params,
-                                 **_quad_kwargs(args))
+        result = bench.run_sweep(u, preset["method"], gamma, params, **quad)
         sweeps[gamma] = result
         path = os.path.join(args.out, _csv_name(preset["example"],
                                                 preset["method"], gamma))

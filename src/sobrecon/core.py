@@ -8,7 +8,6 @@ subset of axes at the lower domain boundary.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,11 +44,6 @@ def leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
     if len(alpha) != len(beta):
         raise ValueError("multi-indices of different length are not comparable")
     return all(a <= b for a, b in zip(alpha, beta))
-
-
-def lattice_size(delta: Sequence[int]) -> int:
-    """Number of multi-indices alpha with 0 <= alpha <= delta."""
-    return math.prod(d + 1 for d in as_multiindex(delta))
 
 
 def multiindex_range(delta: Sequence[int] | int) -> list[MultiIndex]:
@@ -102,16 +96,13 @@ class HyperRect:
     def ndim(self) -> int:
         return len(self.lo)
 
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in zip(self.lo, self.hi))
-
-    def contains(self, point: Sequence[float], tol: float = 1e-12) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
+        """Whether the point lies in the box, to 1e-12 of each axis width."""
         point = tuple(float(p) for p in point)
         if len(point) != self.ndim:
             return False
         return all(
-            a - tol * (b - a) <= p <= b + tol * (b - a)
+            a - 1e-12 * (b - a) <= p <= b + 1e-12 * (b - a)
             for p, a, b in zip(point, self.lo, self.hi)
         )
 

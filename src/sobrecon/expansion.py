@@ -32,7 +32,6 @@ import numpy as np
 
 from . import quadrature
 from .core import (
-    HyperRect,
     MultiIndex,
     TraceFunction,
     active_axes,
@@ -76,9 +75,9 @@ class PolyTraceBundle:
 
     One trace per lattice index alpha <= order, each constant along its
     face-inactive axes; all PiecewisePoly or all LegendreSeries, on a domain
-    with one axis per entry of `order`.  The exact norm, allclose and
-    bundle_from need PiecewisePoly entries; the norm of a LegendreSeries
-    bundle is dc_norm of its reconstruction, by quadrature.
+    with one axis per entry of `order`.  The exact norm needs PiecewisePoly
+    entries; the norm of a LegendreSeries bundle is dc_error(f, None, ...)
+    of its reconstruction f, by quadrature.
     """
 
     order: MultiIndex
@@ -110,20 +109,14 @@ class PolyTraceBundle:
                     )
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def domain(self) -> HyperRect:
-        return self.entries[multiindex_range(self.order)[0]].domain
-
-    def _need_piecewise(self, what: str):
-        kind = type(self.entries[multiindex_range(self.order)[0]])
-        if kind is not PiecewisePoly:
-            raise ValueError(f"{what} needs PiecewisePoly entries, got {kind.__name__}")
-
     def norm(self) -> float:
         """Root-sum-of-squares of the face L2 norms of all traces, each
         integrated by a Gauss rule that is exact for its degree.  Needs
         PiecewisePoly entries."""
-        self._need_piecewise("the exact bundle norm")
+        kind = type(self.entries[multiindex_range(self.order)[0]])
+        if kind is not PiecewisePoly:
+            raise ValueError(f"the exact bundle norm needs PiecewisePoly entries, "
+                             f"got {kind.__name__}")
         total = 0.0
         for alpha in multiindex_range(self.order):
             face = face_spec(alpha, self.order)
@@ -143,29 +136,6 @@ class PolyTraceBundle:
             self.order, {a: e + other.entries[a] for a, e in self.entries.items()}
         )
 
-    def allclose(self, other: "PolyTraceBundle", tol: float = 1e-10) -> bool:
-        """Entrywise PiecewisePoly.allclose; needs PiecewisePoly entries."""
-        for bundle in (self, other):
-            bundle._need_piecewise("bundle allclose")
-        if self.order != other.order:
-            return False
-        return all(
-            self.entries[a].allclose(other.entries[a], tol)
-            for a in multiindex_range(self.order)
-        )
-
-
-def bundle_from(order, mapping, domain: HyperRect) -> PolyTraceBundle:
-    """Wrap a mapping whose values may be scalars or PiecewisePoly traces."""
-    entries = {}
-    for alpha, value in mapping.items():
-        alpha = as_multiindex(alpha)
-        if isinstance(value, PiecewisePoly):
-            entries[alpha] = value
-        else:
-            entries[alpha] = PiecewisePoly.constant(domain, float(value))
-    return PolyTraceBundle(as_multiindex(order), entries)
-
 
 def reconstruct(bundle: PolyTraceBundle) -> Trace:
     """Sum of the lifted traces, in the representation of the entries; the
@@ -181,12 +151,13 @@ def reconstruct(bundle: PolyTraceBundle) -> Trace:
     return sum_terms(terms)
 
 
-def check_membership(u: PiecewisePoly, delta, tol: float = 1e-10):
+def check_membership(u: PiecewisePoly, delta):
     """Verify the cross-break smoothness that order-`delta` membership needs.
 
     Along each axis i, the derivatives of order k < delta_i must be
     continuous across every axis-i breakpoint (as functions of the other
-    variables).  Raises with the offending order and breakpoint otherwise.
+    variables), to 1e-10 of the largest coefficient (at least 1).  Raises
+    with the offending order and breakpoint otherwise.
     """
     delta = as_multiindex(delta, ndim=u.ndim)
     for axis, d in enumerate(delta):
@@ -196,7 +167,7 @@ def check_membership(u: PiecewisePoly, delta, tol: float = 1e-10):
             g = u.derivative(axis, k)
             scale = max(float(np.max(np.abs(g.coeffs))), 1.0)
             err = g.break_jumps(axis)
-            if np.any(err > tol * scale):
+            if np.any(err > 1e-10 * scale):
                 j = int(np.argmax(err))
                 raise ValueError(
                     f"order-{k} derivative along axis {axis} jumps by {err[j]:.3e} "
@@ -205,10 +176,11 @@ def check_membership(u: PiecewisePoly, delta, tol: float = 1e-10):
                 )
 
 
-def extract_traces_poly(u: PiecewisePoly, delta, tol: float = 1e-10) -> PolyTraceBundle:
-    """All boundary traces of an admissible piecewise polynomial."""
+def extract_traces_poly(u: PiecewisePoly, delta) -> PolyTraceBundle:
+    """All boundary traces of an admissible piecewise polynomial (see
+    check_membership)."""
     delta = as_multiindex(delta, ndim=u.ndim)
-    check_membership(u, delta, tol)
+    check_membership(u, delta)
     entries = {
         alpha: u.mixed_derivative(alpha).restrict(face_spec(alpha, delta))
         for alpha in multiindex_range(delta)
@@ -216,16 +188,13 @@ def extract_traces_poly(u: PiecewisePoly, delta, tol: float = 1e-10) -> PolyTrac
     return PolyTraceBundle(delta, entries)
 
 
-def fund_int_pair(k: int, top: int, v: PiecewisePoly, axis: int = 0):
-    """Both sides of the one-axis integration identity used in the induction:
-    the antiderivative of the (k, top) lift equals the (k+1, top+1) lift;
-    apply_tensor rejects any k outside 0 <= k <= top."""
-
-    def on_axis(n):
-        return tuple(n if i == axis else 0 for i in range(v.ndim))
-
-    lhs = apply_tensor(on_axis(k), on_axis(top), v).antiderivative(axis)
-    rhs = apply_tensor(on_axis(k + 1), on_axis(top + 1), v)
+def fund_int_pair(k: int, top: int, v: PiecewisePoly):
+    """Both sides of the one-axis integration identity used in the induction,
+    on axis 0: the antiderivative of the (k, top) lift equals the
+    (k+1, top+1) lift; apply_tensor rejects any k outside 0 <= k <= top."""
+    rest = (0,) * (v.ndim - 1)
+    lhs = apply_tensor((k,) + rest, (top,) + rest, v).antiderivative(0)
+    rhs = apply_tensor((k + 1,) + rest, (top + 1,) + rest, v)
     return lhs, rhs
 
 

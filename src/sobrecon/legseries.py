@@ -30,8 +30,9 @@ def _scale(n: int) -> np.ndarray:
     return np.sqrt(np.arange(n) + 0.5)
 
 
-def legendre_values(max_degree: int, x, normalized: bool = True) -> np.ndarray:
-    """Matrix of basis values, shape (max_degree+1, len(x)), by recurrence."""
+def legendre_values(max_degree: int, x) -> np.ndarray:
+    """Matrix of orthonormal basis values sqrt(k + 1/2) P_k(x), shape
+    (max_degree+1, len(x)), by recurrence."""
     x = np.atleast_1d(np.asarray(x, float))
     out = np.empty((max_degree + 1, x.size))
     out[0] = 1.0
@@ -39,8 +40,7 @@ def legendre_values(max_degree: int, x, normalized: bool = True) -> np.ndarray:
         out[1] = x
     for k in range(1, max_degree):
         out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    if normalized:
-        out *= _scale(max_degree + 1)[:, None]
+    out *= _scale(max_degree + 1)[:, None]
     return out
 
 
@@ -108,11 +108,6 @@ class LegendreSeries:
     @property
     def domain(self) -> HyperRect:
         return HyperRect.cube(self.ndim)
-
-    @classmethod
-    def constant(cls, value: float, ndim: int) -> "LegendreSeries":
-        c = np.full((1,) * ndim, float(value) * math.sqrt(2.0) ** ndim)
-        return cls(c)
 
     # ------------------------------------------------------------- evaluation
 
@@ -239,8 +234,3 @@ class LegendreSeries:
             np.argsort(order),
         )
         return LegendreSeries(factor * coeffs.reshape(shape))
-
-    # ----------------------------------------------------------------- norms
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))

@@ -501,6 +501,13 @@ def coeff_distance(f: PiecewisePoly, g: PiecewisePoly) -> float:
         raise ValueError("operands live on different domains")
     breaks = tuple(_union(x, y) for x, y in zip(f.breaks, g.breaks))
     degree = tuple(max(x, y) for x, y in zip(f.degree, g.degree))
-    a, b = (_accumulate(_zeros(f.domain, breaks, degree), (h,)) for h in (f, g))
+
+    def on_union(h):
+        # an operand already on the union grid at the common degree is read as it is
+        if h.degree == degree and all(x.size == y.size for x, y in zip(h.breaks, breaks)):
+            return h
+        return _accumulate(_zeros(f.domain, breaks, degree), (h,))
+
+    a, b = on_union(f), on_union(g)
     scale = max(np.max(np.abs(a.coeffs)), np.max(np.abs(b.coeffs)), 1e-300)
     return float(np.max(np.abs(a.coeffs - b.coeffs)) / scale)

@@ -6,7 +6,8 @@ averages on a uniform grid (the step-function basis, immune to the
 oscillation that smooth bases develop at jumps).  Either projection is
 applied trace-by-trace and the approximant of the original function is then
 reassembled through the reconstruction operators; projecting at order zero
-reduces to the plain L2 projection of the function itself.
+is the plain L2 projection of the function itself (the paper's direct
+projection).
 
 Vertex traces take the same path with no active axis, so both projections
 return their value unchanged.
@@ -51,33 +52,14 @@ def _legendre_from_grid(f, degree: MultiIndex, axes, weights) -> LegendreSeries:
 def _cell_averages_from_grid(f, counts: MultiIndex, axes, weights) -> np.ndarray:
     tables = []
     for k, x, w in zip(counts, axes, weights):
-        idx = np.clip(((x + 1.0) * 0.5 * k).astype(int), 0, k - 1)
+        # each node's cell as PiecewisePoly finds it (half-open cells), read
+        # against the cell edges themselves: x + 1 rounds to 1 just left of 0
+        idx = np.searchsorted(np.linspace(-1.0, 1.0, k + 1)[1:-1], x, side="right")
         agg = np.zeros((k, x.size))
         agg[idx, np.arange(x.size)] = w
         tables.append(agg)
     volume = math.prod(2.0 / k for k in counts)
     return _grid_coefficients(f, tables, axes) / volume
-
-
-def project_legendre(f, degree, rule: QuadratureRule | None = None) -> LegendreSeries:
-    """Orthonormal Legendre coefficients of f on the standard hypercube."""
-    degree = as_multiindex(degree)
-    rule = rule or QuadratureRule(nodes=max(16, max(degree) + 8), panels=8)
-    axes, weights = grid_quadrature(HyperRect.cube(len(degree)), rule)
-    return _legendre_from_grid(f, degree, axes, weights)
-
-
-def project_step(f, counts, rule: QuadratureRule | None = None) -> PiecewisePoly:
-    """Cell averages of f on the uniform grid, as the step function they
-    define: the L2-orthogonal projection onto the span of the cell indicators."""
-    counts = as_multiindex(counts)
-    m = len(counts)
-    cube, edges = HyperRect.cube(m), cell_edges(counts, m)
-    rule = rule_for(ndim=m, base=rule or QuadratureRule(nodes=16, panels=8),
-                    extra_splits=edges)
-    axes, weights = grid_quadrature(cube, rule)
-    averages = _cell_averages_from_grid(f, counts, axes, weights)
-    return PiecewisePoly.from_cell_values(cube, edges, averages)
 
 
 # --------------------------------------------------------- order-gamma driver

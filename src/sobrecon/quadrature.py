@@ -5,10 +5,10 @@ points (function breakpoints, approximant cell edges), with optional
 geometric grading toward an integrable singularity.  Gauss nodes are
 strictly interior, so singular points and breakpoints are never evaluated.
 
-Three norms are provided: plain L2, the mixed-smoothness Sobolev norm
-(sum over the box alpha <= order; the "isotropic" family restricts to the
-simplex |alpha|_1 <= max(order)), and the discrete-continuous norm that
-aggregates the face L2 norms of all boundary traces.
+Three error norms are provided, each of f alone when g is None: plain L2,
+the mixed-smoothness Sobolev norm (sum over the box alpha <= order), and
+the discrete-continuous norm that aggregates the face L2 norms of all
+boundary traces.
 """
 
 from __future__ import annotations
@@ -70,30 +70,25 @@ class QuadratureRule:
         return self.grading[axis]
 
 
-def rule_for(u=None, *, ndim=None, base: QuadratureRule | None = None,
+def rule_for(u, *, base: QuadratureRule | None = None,
              extra_splits=None, nodes=None, panels=None) -> QuadratureRule:
     """Concrete rule for a target function: splits at its breakpoints and
-    geometric grading toward its singular points."""
+    geometric grading toward its singular point on each axis (at most one,
+    see AnalyticFunction)."""
     base = base or QuadratureRule()
-    if ndim is None:
-        if u is None:
-            raise ValueError("need either a function or an explicit ndim")
-        ndim = u.domain.ndim
+    ndim = u.domain.ndim
     splits = [set(base.axis_splits(i)) for i in range(ndim)]
     grading = [base.axis_grading(i) for i in range(ndim)]
-    if u is not None:
-        for i in range(ndim):
-            splits[i] |= set(float(b) for b in u.breakpoints[i])
-            sing = tuple(getattr(u, "singular_points", ((),) * ndim)[i])
-            splits[i] |= set(float(s) for s in sing)
-            if sing and grading[i] is None:
-                grading[i] = AxisGrading(center=float(sing[0]))
+    for i in range(ndim):
+        splits[i] |= set(u.breakpoints[i]) | set(u.singular_points[i])
+        if u.singular_points[i] and grading[i] is None:
+            grading[i] = AxisGrading(center=u.singular_points[i][0])
     if extra_splits is not None:
         for i in range(ndim):
             splits[i] |= set(float(s) for s in extra_splits[i])
     return QuadratureRule(
-        nodes=nodes or base.nodes,
-        panels=panels or base.panels,
+        nodes=base.nodes if nodes is None else nodes,
+        panels=base.panels if panels is None else panels,
         splits=tuple(tuple(sorted(s)) for s in splits),
         grading=tuple(grading),
     )
@@ -111,10 +106,15 @@ def axis_quadrature(lo: float, hi: float, splits=(), grading=None,
 
     Segments between mandatory splits are subdivided uniformly with a panel
     budget proportional to their length; segments touching the grading
-    center are subdivided geometrically toward it instead.
+    center c are subdivided geometrically toward it instead, with panel
+    edges at offsets (b - a) r^k from c.  Levels whose offset is below
+    8 ulp(c) / (1 - largest Gauss node) are dropped, so every node of the
+    innermost panel [c, c + h] sits at least 4 ulps from c and no two panel
+    edges round to the same float; at c = 0 every level is kept.
     """
     if hi <= lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
+    ref_x, ref_w = _gauss(nodes)
     cuts = {float(s) for s in splits if lo < float(s) < hi}
     center = None
     if grading is not None and lo < grading.center < hi:
@@ -125,10 +125,11 @@ def axis_quadrature(lo: float, hi: float, splits=(), grading=None,
     panel_edges = []
     for a, b in zip(edges[:-1], edges[1:]):
         if center is not None and (a == center or b == center):
-            m = grading.panels
-            r = grading.ratio
-            steps = (b - a) * r ** np.arange(m, -1, -1.0)
-            sub = a + steps if a == center else b - steps[::-1]
+            offsets = (b - a) * grading.ratio ** np.arange(grading.panels - 1, -1, -1.0)
+            keep = offsets >= 8.0 * np.spacing(abs(center)) / (1.0 - ref_x[-1])  # h_min
+            keep[-1] = True  # the whole segment, even a split within h_min of c
+            offsets = np.concatenate(([0.0], offsets[keep]))
+            sub = a + offsets if a == center else b - offsets[::-1]
             sub[0], sub[-1] = a, b
         else:
             n = max(1, round(panels * (b - a) / (hi - lo)))
@@ -137,7 +138,6 @@ def axis_quadrature(lo: float, hi: float, splits=(), grading=None,
     panel_edges.append(np.array([hi]))
     grid = np.concatenate(panel_edges)
 
-    ref_x, ref_w = _gauss(nodes)
     half = 0.5 * np.diff(grid)
     mid = grid[:-1] + half
     x = (mid[:, None] + half[:, None] * ref_x[None, :]).reshape(-1)
@@ -231,38 +231,18 @@ def l2_error(f, g, domain: HyperRect, rule: QuadratureRule | None = None) -> flo
     return math.sqrt(max(comp[zero], 0.0))
 
 
-def l2_norm(f, domain: HyperRect, rule: QuadratureRule | None = None) -> float:
-    return l2_error(f, None, domain, rule)
-
-
-def norm_index_set(order, family: str = "mixed"):
-    """Derivative orders entering the norm: the full box for the
-    mixed-smoothness norm, the simplex |alpha|_1 <= max(order) otherwise."""
-    order = as_multiindex(order)
-    box = multiindex_range(order)
-    if family == "mixed":
-        return box
-    if family == "isotropic":
-        cap = max(order)
-        return [a for a in box if sum(a) <= cap]
-    raise ValueError(f"unknown norm family {family!r}")
-
-
 def sobolev_error(f, g, order, domain: HyperRect,
-                  rule: QuadratureRule | None = None, family: str = "mixed") -> float:
-    """Sobolev norm of f - g (of f alone when g is None), by quadrature.
+                  rule: QuadratureRule | None = None) -> float:
+    """Mixed-smoothness Sobolev norm of f - g (of f alone when g is None),
+    by quadrature: the root-sum-of-squares of the L2 norms of D^alpha over
+    the box alpha <= order.
 
     Both operands must supply derivative values on tensor grids up to the
-    requested order; `order` multi-indexes the derivative box.
+    requested order.
     """
-    comp = error_components(f, g, norm_index_set(order, family), domain,
+    comp = error_components(f, g, multiindex_range(order), domain,
                             rule or QuadratureRule())
     return math.sqrt(max(sum(comp.values()), 0.0))
-
-
-def sobolev_norm(f, order, domain: HyperRect,
-                 rule: QuadratureRule | None = None, family: str = "mixed") -> float:
-    return sobolev_error(f, None, order, domain, rule, family)
 
 
 def _face_axes(axes, weights, face):
@@ -292,7 +272,3 @@ def dc_error(f, g, order, domain: HyperRect,
         _check_finite(values, axes)
         total += _contract(np.asarray(values, float) ** 2, weights)
     return math.sqrt(max(total, 0.0))
-
-
-def dc_norm(f, order, domain: HyperRect, rule: QuadratureRule | None = None) -> float:
-    return dc_error(f, None, order, domain, rule)

@@ -10,14 +10,13 @@ from sobrecon.bench import (
     approximant,
     error_norms,
     fit_slope,
-    monotone_ratio_ok,
     norm_rule,
     run_sweep,
     sweep_point,
 )
-from sobrecon.core import HyperRect
+from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.projection import cell_edges
-from sobrecon.quadrature import grid_quadrature, rule_for
+from sobrecon.quadrature import error_components, grid_quadrature, rule_for
 from sobrecon.targets import get_example
 
 
@@ -56,16 +55,6 @@ class TestFitSlope:
             fit_slope(r, "energy")
 
 
-class TestMonotone:
-    def test_accepts_decay_with_small_upticks(self):
-        r = synthetic_result([2, 4, 8, 16], [1.0, 0.3, 0.31, 0.05])
-        assert monotone_ratio_ok(r)
-
-    def test_rejects_growth(self):
-        r = synthetic_result([2, 4, 8, 16], [1.0, 0.3, 0.9, 0.05])
-        assert not monotone_ratio_ok(r)
-
-
 class TestSweep:
     def test_polynomial_reproduction_gives_zero_error(self):
         u = get_example("poly-random", seed=11, ndim=1, delta=(2,), degree_margin=1)
@@ -87,7 +76,9 @@ class TestSweep:
     def test_monotone_l2_trend(self):
         u = get_example("example1-1d")
         r = run_sweep(u, "legendre", (5,), [2, 4, 8, 16, 32])
-        assert monotone_ratio_ok(r, "l2")
+        # no uptick beyond 5% and an overall drop below a tenth
+        assert all(b <= a * 1.05 for a, b in zip(r.l2[:-1], r.l2[1:]))
+        assert r.l2[-1] < 0.1 * r.l2[0]
 
     def test_rejects_unsorted_params(self):
         u = get_example("example1-1d")
@@ -147,6 +138,20 @@ class TestDegreeSizedNormRule:
                                    rtol=1e-10, atol=0)
         np.testing.assert_allclose(got, error_norms(u, approx, flat),
                                    rtol=1e-10, atol=0)
+
+    def test_isotropic_norm_reads_the_simplex(self):
+        # S sums the 16 components alpha <= (3, 3); W only the 10 with
+        # |alpha|_1 <= 3
+        u = get_example("example2-2d")
+        approx = approximant(u, "step", (1, 1), 8)
+        rule = norm_rule(u, approx)
+        comp = error_components(u, approx, multiindex_range((3, 3)), u.domain, rule)
+        simplex = [a for a in comp if sum(a) <= 3]
+        assert len(comp) == 16 and len(simplex) == 10
+        l2, s, w = error_norms(u, approx, rule)
+        assert s == pytest.approx(math.sqrt(sum(comp.values())), rel=1e-14)
+        assert w == pytest.approx(math.sqrt(sum(comp[a] for a in simplex)), rel=1e-14)
+        assert w < s
 
     @pytest.mark.parametrize("name, gamma, param", [
         ("example1-1d", (5,), 64), ("example2-2d", (3, 3), 64), ("example2-2d", (1, 1), 8)])

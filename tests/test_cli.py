@@ -104,6 +104,31 @@ class TestReproduceCommand:
         assert err.startswith("error: ") and flag in err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "fig1", "--degrees", "2,4,8", "--quad-panels", "0"],
+        ["reproduce", "fig2", "--cells", "2,4,8", "--quad-nodes", "0"],
+        ["sweep", "--example", "example1-1d", "--method", "legendre", "--degrees", "2,4",
+         "--quad-nodes", "0"],
+        ["sweep", "--example", "example1-1d", "--method", "legendre", "--degrees", "2,4",
+         "--quad-nodes", "1"],
+        ["sweep", "--example", "example2-2d", "--method", "step", "--cells", "2,4",
+         "--quad-panels", "0"],
+    ])
+    def test_quadrature_size_refused_before_any_point(self, argv, tmp_path, capsys):
+        # 0 is a size, not "unset": it must not fall back to the default rule
+        code = main(argv + ["--out", str(tmp_path / "results")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "param=" not in out and "failed" not in out
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("flag", ["--quad-nodes", "--quad-panels"])
+    def test_expand_refuses_zero_quadrature_size(self, flag, capsys):
+        code = main(["expand", "--example", "example1-1d", "--point", "0.5", flag, "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_example_exits_2(self, capsys):
         code = main(["sweep", "--example", "nope", "--method", "step"])
         assert code == 2

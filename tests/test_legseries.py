@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.legseries import LegendreSeries, legendre_values
 from sobrecon.piecewise import PiecewisePoly
-from sobrecon.projection import project_legendre
+from sobrecon.projection import sobolev_project_legendre
 from sobrecon.quadrature import QuadratureRule
 
 
@@ -30,27 +31,29 @@ def series_of_random_poly(rng, degree):
     """A random one-cell PiecewisePoly on [-1, 1] and its Legendre series,
     which a Gauss rule with degree + 1 nodes gives exactly."""
     p = PiecewisePoly(HyperRect.cube(1), (np.array([]),), rng.standard_normal((1, degree + 1)))
-    return p, project_legendre(p, (degree,), QuadratureRule(nodes=degree + 1, panels=1))
+    u = AnalyticFunction(p.domain, (0,), {(0,): p})
+    return p, sobolev_project_legendre(u, (0,), (degree,),
+                                       QuadratureRule(nodes=degree + 1, panels=1))
 
 
 class TestBasis:
     def test_recurrence_matches_numpy(self):
         x = np.linspace(-1, 1, 31)
-        vals = legendre_values(12, x, normalized=False)
+        vals = legendre_values(12, x)
         for k in range(13):
-            ref = np.polynomial.legendre.Legendre.basis(k)(x)
+            ref = np.sqrt(k + 0.5) * np.polynomial.legendre.Legendre.basis(k)(x)
             assert np.allclose(vals[k], ref, rtol=1e-13, atol=1e-13)
 
     def test_endpoint_value(self):
-        assert legendre_values(2, np.array([1.0]), normalized=False)[2, 0] == \
-            pytest.approx(1.0)
+        assert legendre_values(2, np.array([1.0]))[2, 0] == \
+            pytest.approx(math.sqrt(2.5))
 
     def test_normalization_constant(self):
         assert legendre_values(0, [0.37])[0, 0] == pytest.approx(1 / math.sqrt(2))
 
     def test_high_degree_bounded(self):
         x = np.linspace(-1, 1, 400)
-        vals = legendre_values(300, x, normalized=False)
+        vals = legendre_values(300, x) / np.sqrt(np.arange(301) + 0.5)[:, None]  # P_k
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
 
 
@@ -107,7 +110,7 @@ class TestTensor:
         f = LegendreSeries(rng.standard_normal((5, 4)))
         x, w = npleg.leggauss(5)  # exact for the degree-(8, 6) square
         quad = np.sum(np.outer(w, w) * npleg.leggrid2d(x, x, standard(f.coeffs)) ** 2)
-        assert f.l2_norm() ** 2 == pytest.approx(quad, rel=1e-11)
+        assert np.linalg.norm(f.coeffs) ** 2 == pytest.approx(quad, rel=1e-11)
 
     def test_constant_extension(self):
         g = series_1d([1.0, 0.5, -0.25])
@@ -119,9 +122,10 @@ class TestTensor:
             assert np.allclose(grid[i], g(ys), rtol=1e-13)
 
     def test_constant_series(self):
-        c = LegendreSeries.constant(3.5, 2)
+        # the constant 3.5 is 3.5 * sqrt(2)^2 times phi_0 phi_0 = 1/2
+        c = LegendreSeries(np.full((1, 1), 3.5 * 2.0))
         assert c(0.2, -0.8) == pytest.approx(3.5)
-        assert c.l2_norm() == pytest.approx(3.5 * 2.0)  # 3.5 * sqrt(area of [-1,1]^2)
+        assert np.linalg.norm(c.coeffs) == pytest.approx(3.5 * 2.0)  # 3.5 * sqrt(area)
 
     def test_derivative_grids_equal_single_reads(self):
         """One basis table per axis serves every alpha, bit for bit: its

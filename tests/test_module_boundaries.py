@@ -1,6 +1,7 @@
 """No sobrecon module reaches into another module's `_`-prefixed names, only
 `core` builds TraceFunction values, no function keeps a local it never
-reads, and every name in `sobrecon.__all__` exists.
+reads, no module imports a name it never reads, and every name in
+`sobrecon.__all__` exists.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -179,6 +180,49 @@ def test_dead_local_detector():
         "    return g\n"
     )
     assert dead_locals(source) == ["f: nd (line 2)", "f: ok (line 3)", "f: ok (line 5)"]
+
+
+def unread_imports(source: str) -> list[str]:
+    """`name (line n)` for each name a module-level import binds that the
+    module never loads.  A name listed in `__all__` counts as read, and
+    `from __future__` imports are not bindings."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_no_unread_imports():
+    offenders = {path.name: unread for path in sorted(PACKAGE.glob("*.py"))
+                 if (unread := unread_imports(path.read_text()))}
+    assert not offenders, offenders
+
+
+def test_unread_import_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .core import HyperRect, leq\n"
+        "from .piecewise import PiecewisePoly\n"
+        "__all__ = ['PiecewisePoly']\n"
+        "def f(x) -> HyperRect:\n"
+        "    return np.sum(x)\n"
+    )
+    assert unread_imports(source) == ["math (line 2)", "os (line 4)", "leq (line 5)"]
 
 
 def test_all_exports_resolve():

@@ -3,76 +3,112 @@ import math
 import numpy as np
 import pytest
 
+from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.expansion import extract_traces_poly
 from sobrecon.legseries import LegendreSeries
-from sobrecon.piecewise import PiecewisePoly
+from sobrecon.piecewise import PiecewisePoly, coeff_distance
 from sobrecon.projection import (
     cell_edges,
-    project_legendre,
-    project_step,
     random_legendre_poly,
     sobolev_project_legendre,
     sobolev_project_step,
 )
-from sobrecon.quadrature import QuadratureRule, dc_error, dc_norm, l2_error, rule_for
+from sobrecon.quadrature import QuadratureRule, dc_error, integrate, l2_error, rule_for
 from sobrecon.targets import get_example, v_derivative
 
 
+def plain(f, ndim=1, **kwargs):
+    """A callable on the standard cube as an order-zero target: its order-zero
+    trace projection is the direct L2 projection of f."""
+    zero = (0,) * ndim
+    return AnalyticFunction(HyperRect.cube(ndim), zero, {zero: f}, **kwargs)
+
+
+def legendre_direct(f, degree, rule=None):
+    n = len(degree)
+    return sobolev_project_legendre(plain(f, n), (0,) * n, degree, rule)
+
+
+def step_direct(f, counts, rule=None):
+    n = len(counts)
+    return sobolev_project_step(plain(f, n), (0,) * n, counts, rule)
+
+
 class TestLegendreProjection:
+    """The direct projection: the order-zero Legendre trace projection."""
+
     def test_reproduces_polynomials(self):
         f = lambda x: x**2
-        series = project_legendre(f, (2,))
+        series = legendre_direct(f, (2,))
         xs = np.linspace(-1, 1, 21)
         assert np.allclose(series(xs), xs**2, atol=1e-14)
 
     def test_abs_at_degree_zero_is_mean(self):
-        series = project_legendre(lambda x: np.abs(x), (0,))
+        series = legendre_direct(lambda x: np.abs(x), (0,))
         assert series(np.array([0.3]))[0] == pytest.approx(0.5, rel=1e-13)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         f = LegendreSeries(rng.standard_normal((5,)))
-        again = project_legendre(f, (4,))
+        again = legendre_direct(f, (4,))
         assert np.allclose(again.coeffs, f.coeffs, atol=1e-12)
 
     def test_2d_tensor_coefficients(self):
         # f(x,y) = x * y: single coefficient c_(1,1) = 2/3 in the
         # orthonormal basis (phi_1 normalized has norm 1, x = phi_1/sqrt(1.5))
-        series = project_legendre(lambda x, y: x * y, (2, 2))
+        series = legendre_direct(lambda x, y: x * y, (2, 2))
         expected = np.zeros((3, 3))
         expected[1, 1] = 1.0 / 1.5
         assert np.allclose(series.coeffs, expected, atol=1e-14)
 
 
 class TestStepProjection:
+    """The direct projection: the order-zero step trace projection."""
+
     def test_linear_two_cells(self):
-        step = project_step(lambda x: x, (2,))
+        step = step_direct(lambda x: x, (2,))
+        assert isinstance(step, PiecewisePoly) and step.degree == (0,)
         assert np.allclose(step.coeffs.reshape(-1), [-0.5, 0.5], atol=1e-14)
 
     def test_constant_passthrough(self):
-        step = project_step(lambda x, y: 3.0 + 0 * x + 0 * y, (2, 3))
+        step = step_direct(lambda x, y: 3.0 + 0 * x + 0 * y, (2, 3))
+        assert step.cell_counts == (2, 3)
         assert np.allclose(step.coeffs.reshape(-1), 3.0, atol=1e-14)
 
     def test_step_derivative_of_example2_aligned_cells(self):
-        step = project_step(lambda x: v_derivative(3, x), (4,))
+        step = step_direct(lambda x: v_derivative(3, x), (4,))
         assert np.allclose(step.coeffs.reshape(-1), [1.0, -1.0, -1.0, 1.0], atol=1e-13)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         values = rng.standard_normal(8)
         step = PiecewisePoly.from_cell_values(HyperRect.cube(1), cell_edges((8,), 1), values)
-        again = project_step(step, (8,))
+        again = step_direct(step, (8,))
         assert np.allclose(again.coeffs.reshape(-1), values, atol=1e-13)
+
+    @pytest.mark.parametrize("cells", [2, 16, 256])
+    def test_graded_nodes_left_of_zero_stay_in_their_cell(self, cells):
+        # grading toward 0 puts nodes within 1e-16 of it, where x + 1 rounds
+        # to 1.0; the cell right of 0 must not see them
+        f = plain(lambda x: (x < 0.0).astype(float), singular_points=((0.0,),))
+        step = sobolev_project_step(f, (0,), (cells,))
+        values = step.coeffs.reshape(-1)
+        assert np.all(values[cells // 2:] == 0.0)
+        assert np.allclose(values[:cells // 2], 1.0, rtol=1e-14)
 
 
 class TestSobolevLegendre:
     def test_order_zero_reduces_to_plain_projection(self):
+        # coefficient k of the direct projection is the integral of
+        # u * sqrt(k + 1/2) P_k, here by the same rule through `integrate`
         u = get_example("example1-1d")
         rule = rule_for(u, nodes=16, panels=8)
         recon = sobolev_project_legendre(u, (0,), (8,), rule)
-        direct = project_legendre(u, (8,), rule)
-        assert np.allclose(recon.coeffs, direct.coeffs, rtol=1e-12)
+        basis = np.polynomial.legendre.Legendre.basis
+        direct = [integrate(lambda x, k=k: u(x) * np.sqrt(k + 0.5) * basis(k)(x),
+                            u.domain, rule) for k in range(9)]
+        assert np.allclose(recon.coeffs, direct, rtol=1e-12, atol=1e-15)
 
     def test_reproduces_polynomials(self):
         u = get_example("poly-random", seed=5, ndim=2, delta=(2, 1), degree_margin=1)
@@ -104,7 +140,9 @@ class TestSobolevLegendre:
                     float(t.eval_grid([])), abs=1e-10)
                 continue
             act = t.active
-            projected = project_legendre(t, tuple(degree[i] for i in act), rule)
+            on_face = plain(lambda *g, t=t: t.eval_grid([x.reshape(-1) for x in g]), len(act))
+            projected = sobolev_project_legendre(on_face, (0,) * len(act),
+                                                 tuple(degree[i] for i in act), rule)
             axes = [np.linspace(-1, 1, 7)] * len(act)
             assert np.allclose(face.eval_grid(axes), projected.eval_grid(axes),
                                rtol=1e-9, atol=1e-9)
@@ -158,7 +196,10 @@ class TestSobolevLegendre:
         rule = rule_for(u, nodes=degree + 8, panels=4)  # the sweeps' rule
         degrees = (degree,) * len(gamma)
         recon = sobolev_project_legendre(u, gamma, degrees, rule)
-        top = project_legendre(u.boundary_trace(gamma, gamma), degrees, rule).coeffs
+        zero = (0,) * len(gamma)
+        top_trace = AnalyticFunction(u.domain, zero, {zero: u.derivatives[gamma]},
+                                     u.breakpoints, u.singular_points)
+        top = sobolev_project_legendre(top_trace, zero, degrees, rule).coeffs
         got = recon.mixed_derivative(gamma).coeffs
         assert got.shape == top.shape
 
@@ -199,7 +240,7 @@ class TestSobolevLegendre:
         directions = []
         for _ in range(21):
             q = random_legendre_poly(rng, (d[0] + gamma[0],))
-            directions.append((1.0 / dc_norm(q, gamma, u.domain, rule)) * q)
+            directions.append((1.0 / dc_error(q, None, gamma, u.domain, rule)) * q)
 
         def worst_improvement(p):
             base = dc_error(u, p, gamma, u.domain, rule)
@@ -225,11 +266,15 @@ class TestSobolevLegendre:
 
 class TestSobolevStep:
     def test_order_zero_is_cell_average(self):
+        # the mean of u over each cell, by quadrature on that cell alone
         u = get_example("example1-1d")
         qk = sobolev_project_step(u, (0,), (8,))
-        direct = project_step(u, (8,), rule_for(u))
         got = extract_traces_poly(qk, (0,)).entries[(0,)]
-        assert got.allclose(direct, 1e-12)
+        edges = np.linspace(-1.0, 1.0, 9)
+        means = [integrate(u, HyperRect((a,), (b,)), rule_for(u)) / (b - a)
+                 for a, b in zip(edges[:-1], edges[1:])]
+        assert got.degree == (0,)
+        assert np.allclose(got.coeffs.reshape(-1), means, rtol=1e-12, atol=1e-15)
 
     def test_exact_recovery_of_example2(self):
         w = get_example("example2-2d")
@@ -248,8 +293,10 @@ class TestSobolevStep:
         qk = sobolev_project_step(u, gamma, cells)
         bundle = extract_traces_poly(qk, gamma)
         rule = rule_for(u, extra_splits=cell_edges(cells, 1))
-        top = project_step(u.boundary_trace((3,), gamma), cells, rule)
-        assert bundle.entries[(3,)].allclose(top, 1e-10)
+        top_trace = AnalyticFunction(u.domain, (0,), {(0,): u.derivatives[(3,)]},
+                                     u.breakpoints, u.singular_points)
+        top = sobolev_project_step(top_trace, (0,), cells, rule)
+        assert coeff_distance(bundle.entries[(3,)], top) <= 1e-10
 
     def test_single_cell_reconstruction_formula(self):
         # K=1, gamma=delta: Taylor-like sum of exact corner derivatives plus

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sobrecon import legseries
+from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.legseries import LegendreSeries
 from sobrecon.expansion import reconstruct
@@ -13,14 +14,12 @@ from sobrecon.quadrature import (
     QuadratureRule,
     axis_quadrature,
     dc_error,
-    dc_norm,
     error_components,
+    grid_quadrature,
     integrate,
     l2_error,
-    l2_norm,
-    norm_index_set,
     rule_for,
-    sobolev_norm,
+    sobolev_error,
 )
 from sobrecon.targets import get_example
 from sobrecon.verify import random_domain, random_trace_bundle
@@ -90,51 +89,74 @@ class TestAxisQuadrature:
         with pytest.raises(ValueError):
             axis_quadrature(1.0, 1.0)
 
+    @pytest.mark.parametrize("c", [0.3, -0.5, 0.9])
+    @pytest.mark.parametrize("nodes", [2, 16, 64, 264, 512])
+    def test_grading_toward_nonzero_point_keeps_nodes_off_it(self, c, nodes):
+        # 40 levels of ratio 1/4 reach 4^-39 (b - a), far below one ulp of
+        # c: levels that narrow must go, not collapse onto c
+        u = AnalyticFunction(HyperRect.cube(1), (0,), {(0,): lambda x: x},
+                             singular_points=((c,),))
+        (x,), (w,) = grid_quadrature(u.domain, rule_for(u, nodes=nodes))
+        assert np.all(np.diff(np.sort(x)) > 0)
+        assert not np.any(x == c)
+        assert np.all(w > 0)
+        assert w.sum() == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("c", [0.3, -0.5, 0.9])
+    def test_graded_inverse_square_root_at_nonzero_point(self, c):
+        f = lambda x: np.abs(x - c) ** -0.5
+        u = AnalyticFunction(HyperRect.cube(1), (0,), {(0,): f}, singular_points=((c,),))
+        exact = 2.0 * (np.sqrt(1.0 - c) + np.sqrt(1.0 + c))
+        assert integrate(f, u.domain, rule_for(u)) == pytest.approx(exact, rel=1e-7)
+
+    def test_second_singular_point_on_an_axis_is_refused(self):
+        # rule_for grades each axis toward one center; a second point would
+        # silently get ungraded panels
+        with pytest.raises(ValueError, match="at most one singular point per axis"):
+            AnalyticFunction(HyperRect.cube(1), (0,), {(0,): lambda x: x},
+                             singular_points=((-0.5, 0.5),))
+
 
 class TestNorms:
     def test_l2_norm_of_x(self):
         dom = HyperRect.cube(1)
-        assert l2_norm(lambda x: x, dom, QuadratureRule(nodes=4, panels=1)) == \
+        assert l2_error(lambda x: x, None, dom, QuadratureRule(nodes=4, panels=1)) == \
             pytest.approx(math.sqrt(2 / 3), rel=1e-14)
 
     def test_zero_norm(self):
         dom = HyperRect.cube(1)
-        assert l2_norm(lambda x: 0.0 * x, dom) == 0.0
+        assert l2_error(lambda x: 0.0 * x, None, dom) == 0.0
 
     def test_normalized_legendre_unit_norm(self):
         dom = HyperRect.cube(1)
         for d in (0, 3, 7):
             f = lambda x, _d=d: math.sqrt(_d + 0.5) * legendre_classic(_d, x)
-            assert l2_norm(f, dom, QuadratureRule(nodes=16, panels=2)) == \
+            assert l2_error(f, None, dom, QuadratureRule(nodes=16, panels=2)) == \
                 pytest.approx(1.0, rel=1e-13)
 
     def test_sobolev_norm_of_x(self):
         # ||x||^2 in the order-1 norm on [-1,1]: 2/3 + 2 = 8/3
         dom = HyperRect.cube(1)
         f = PiecewisePoly(dom, (np.array([]),), np.array([[-1.0, 1.0]]))  # x about -1
-        got = sobolev_norm(f, (1,), dom, QuadratureRule(nodes=4, panels=1))
+        got = sobolev_error(f, None, (1,), dom, QuadratureRule(nodes=4, panels=1))
         assert got == pytest.approx(math.sqrt(8 / 3), rel=1e-14)
 
     def test_order_zero_norm_is_l2(self):
         u = get_example("example1-1d")
         rule = rule_for(u)
-        a = sobolev_norm(u, (0,), u.domain, rule)
-        b = l2_norm(u, u.domain, rule)
+        a = sobolev_error(u, None, (0,), u.domain, rule)
+        b = l2_error(u, None, u.domain, rule)
         assert a == pytest.approx(b, rel=1e-14)
-
-    def test_index_set_counts(self):
-        assert len(norm_index_set((3, 3), "mixed")) == 16
-        assert len(norm_index_set((3, 3), "isotropic")) == 10
 
     def test_unavailable_derivative_rejected(self):
         u = get_example("example1-1d")
         with pytest.raises(ValueError, match="unavailable"):
-            sobolev_norm(u, (6,), u.domain, QuadratureRule(nodes=4, panels=1))
+            sobolev_error(u, None, (6,), u.domain, QuadratureRule(nodes=4, panels=1))
 
     def test_plain_callable_cannot_supply_derivatives(self):
         dom = HyperRect.cube(1)
         with pytest.raises(TypeError, match="cannot supply derivatives"):
-            sobolev_norm(lambda x: x, (1,), dom, QuadratureRule(nodes=4, panels=1))
+            sobolev_error(lambda x: x, None, (1,), dom, QuadratureRule(nodes=4, panels=1))
 
     def test_l2_error_between_callable_and_pw(self):
         dom = HyperRect.cube(1)
@@ -165,13 +187,13 @@ class TestDcNorm:
         # nonzero, contributing |2| * sqrt(area) = 2
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
         u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
-        got = dc_norm(u, (2, 1), dom, QuadratureRule(nodes=4, panels=1))
+        got = dc_error(u, None, (2, 1), dom, QuadratureRule(nodes=4, panels=1))
         assert got == pytest.approx(2.0, rel=1e-13)
 
     def test_order_zero_is_l2(self):
         dom = HyperRect.cube(1)
         f = PiecewisePoly(dom, (np.array([]),), np.array([[-1.0, 1.0]]))
-        assert dc_norm(f, (0,), dom) == pytest.approx(l2_norm(f, dom), rel=1e-13)
+        assert dc_error(f, None, (0,), dom) == pytest.approx(l2_error(f, None, dom), rel=1e-13)
 
     def test_matches_bundle_norm_after_reconstruction(self):
         rng = np.random.default_rng(5)
@@ -182,11 +204,11 @@ class TestDcNorm:
             rule = QuadratureRule(nodes=10, panels=2,
                                   splits=tuple(tuple(np.concatenate([e.breaks[i] for e in b.entries.values()]))
                                                for i in range(ndim)))
-            assert dc_norm(u, delta, dom, rule) == pytest.approx(b.norm(), rel=1e-10)
+            assert dc_error(u, None, delta, dom, rule) == pytest.approx(b.norm(), rel=1e-10)
 
     def test_analytic_vs_poly_difference(self):
         u = get_example("example1-1d")
         zero = PiecewisePoly.constant(u.domain, 0.0)
         rule = rule_for(u)
         assert dc_error(u, zero, (5,), u.domain, rule) == \
-            pytest.approx(dc_norm(u, (5,), u.domain, rule), rel=1e-13)
+            pytest.approx(dc_error(u, None, (5,), u.domain, rule), rel=1e-13)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sobrecon.analytic import finite_difference_error
+from sobrecon.analytic import AnalyticFunction, finite_difference_error
 from sobrecon.core import active_axes, face_spec, multiindex_range
-from sobrecon.projection import project_legendre
+from sobrecon.projection import sobolev_project_legendre
 from sobrecon.quadrature import QuadratureRule
 from sobrecon.targets import available_examples, example1, example2, get_example, v_derivative
 
@@ -129,7 +129,10 @@ class TestTraces:
         # to the largest |D^alpha u| on the face grid (measured 3.7e-13).
         u = get_example("poly-random", seed=3, ndim=ndim, delta=delta)
         pw = u.derivatives[(0,) * ndim]
-        series = project_legendre(pw, pw.degree, QuadratureRule(nodes=8, panels=1))
+        zero = (0,) * ndim
+        direct = AnalyticFunction(u.domain, zero, {zero: pw})
+        series = sobolev_project_legendre(direct, zero, pw.degree,
+                                          QuadratureRule(nodes=8, panels=1))
         nodes = np.polynomial.legendre.leggauss(5)[0]
         for alpha in multiindex_range(delta):
             active = active_axes(face_spec(alpha, delta))
