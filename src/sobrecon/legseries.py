@@ -5,7 +5,10 @@ sqrt(k + 1/2)), so the L2 norm is the Euclidean coefficient norm.  All
 calculus is done as exact sparse linear maps on coefficients, and values are
 produced by the upward three-term recurrence, which is backward stable on
 [-1, 1]; nothing here ever forms a monomial representation, so degrees in
-the hundreds are safe.
+the hundreds are safe.  The recurrence fills each row of the basis table in
+place, so a degree-256 table on a fig1 grid costs its own 43 MB and no
+temporaries.  Every coefficient axis has at least one entry; a 0-d series
+is a plain value (a vertex trace).
 """
 
 from __future__ import annotations
@@ -32,14 +35,26 @@ def _scale(n: int) -> np.ndarray:
 
 def legendre_values(max_degree: int, x) -> np.ndarray:
     """Matrix of orthonormal basis values sqrt(k + 1/2) P_k(x), shape
-    (max_degree+1, len(x)), by recurrence."""
+    (max_degree+1, len(x)), by recurrence.
+
+    Each row is filled in place with the operations, in their order, of
+    P_{k+1} = ((2k+1) x P_k - k P_{k-1}) / (k+1), so the table is the one
+    that expression gives, bit for bit, without a temporary per row."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     x = np.atleast_1d(np.asarray(x, float))
     out = np.empty((max_degree + 1, x.size))
     out[0] = 1.0
     if max_degree >= 1:
         out[1] = x
+    tmp = np.empty(x.size)
     for k in range(1, max_degree):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
+        row = out[k + 1]
+        np.multiply(2 * k + 1, x, out=row)
+        row *= out[k]
+        np.multiply(k, out[k - 1], out=tmp)
+        row -= tmp
+        row /= k + 1
     out *= _scale(max_degree + 1)[:, None]
     return out
 
@@ -90,7 +105,11 @@ class LegendreSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, float))
+        coeffs = np.asarray(self.coeffs, float)
+        for axis, n in enumerate(coeffs.shape):
+            if n == 0:
+                raise ValueError(f"coefficient axis {axis} has length zero")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def ndim(self) -> int:

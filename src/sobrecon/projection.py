@@ -45,7 +45,11 @@ def _grid_coefficients(f, tables, axes) -> np.ndarray:
 
 
 def _legendre_from_grid(f, degree: MultiIndex, axes, weights) -> LegendreSeries:
-    tables = [legendre_values(d, x) * w[None, :] for d, x, w in zip(degree, axes, weights)]
+    tables = []
+    for d, x, w in zip(degree, axes, weights):
+        table = legendre_values(d, x)
+        table *= w  # in place: one (d+1, nodes) table alive, not two
+        tables.append(table)
     return LegendreSeries(_grid_coefficients(f, tables, axes))
 
 

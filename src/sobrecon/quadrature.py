@@ -4,6 +4,8 @@ Panels are laid out per axis from a uniform baseline plus mandatory split
 points (function breakpoints, approximant cell edges), with optional
 geometric grading toward an integrable singularity.  Gauss nodes are
 strictly interior, so singular points and breakpoints are never evaluated.
+A tensor grid is built once per (domain, rule) and its node and weight
+arrays are then shared, read-only, by every reader of that grid.
 
 Three error norms are provided, each of f alone when g is None: plain L2,
 the mixed-smoothness Sobolev norm (sum over the box alpha <= order), and
@@ -56,12 +58,18 @@ class QuadratureRule:
             raise ValueError("need at least 2 Gauss nodes per panel")
         if self.panels < 1:
             raise ValueError("need at least 1 panel per axis")
+        # tuples throughout, so that a rule is hashable (grid_quadrature's key)
+        if self.splits is not None:
+            object.__setattr__(self, "splits",
+                               tuple(tuple(float(s) for s in axis) for axis in self.splits))
+        if self.grading is not None:
+            object.__setattr__(self, "grading", tuple(self.grading))
 
     def axis_splits(self, axis: int) -> tuple[float, ...]:
         """Mandatory split points of one axis (none when unspecified)."""
         if self.splits is None or axis >= len(self.splits):
             return ()
-        return tuple(self.splits[axis])
+        return self.splits[axis]
 
     def axis_grading(self, axis: int) -> AxisGrading | None:
         """Grading of one axis, or None for uniform panels."""
@@ -92,6 +100,11 @@ def rule_for(u, *, base: QuadratureRule | None = None,
         splits=tuple(tuple(sorted(s)) for s in splits),
         grading=tuple(grading),
     )
+
+
+#: Distinct (domain, rule) grids that grid_quadrature keeps; one figure
+#: sweep or `verify all` pass reads a few dozen.
+_GRID_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=None)
@@ -145,17 +158,29 @@ def axis_quadrature(lo: float, hi: float, splits=(), grading=None,
     return x, w
 
 
-def grid_quadrature(domain: HyperRect, rule: QuadratureRule):
-    """Per-axis node and weight arrays of the tensor rule on the domain."""
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid(domain: HyperRect, rule: QuadratureRule):
     axes, weights = [], []
     for i in range(domain.ndim):
         x, w = axis_quadrature(
             domain.lo[i], domain.hi[i], rule.axis_splits(i),
             rule.axis_grading(i), rule.nodes, rule.panels,
         )
+        x.flags.writeable = False
+        w.flags.writeable = False
         axes.append(x)
         weights.append(w)
-    return axes, weights
+    return tuple(axes), tuple(weights)
+
+
+def grid_quadrature(domain: HyperRect, rule: QuadratureRule):
+    """Per-axis node and weight arrays of the tensor rule on the domain.
+
+    Each (domain, rule) grid is built once and its arrays are shared,
+    read-only, by every later call with an equal domain and rule; the two
+    lists are new on every call."""
+    axes, weights = _grid(domain, rule)
+    return list(axes), list(weights)
 
 
 def grid_values(f, axes) -> np.ndarray:

@@ -36,7 +36,32 @@ def series_of_random_poly(rng, degree):
                                        QuadratureRule(nodes=degree + 1, panels=1))
 
 
+def textbook_values(max_degree, x):
+    """The orthonormal basis table straight from the three-term recurrence
+    ((2k+1) x P_k - k P_{k-1}) / (k+1), one expression per row."""
+    out = np.empty((max_degree + 1, x.size))
+    out[0] = 1.0
+    if max_degree >= 1:
+        out[1] = x
+    for k in range(1, max_degree):
+        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
+    return out * np.sqrt(np.arange(max_degree + 1) + 0.5)[:, None]
+
+
 class TestBasis:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 40, 256])
+    def test_recurrence_is_bitwise_textbook(self, degree):
+        rng = np.random.default_rng(degree)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 500), [-1.0, 0.0, 1.0]])
+        assert np.array_equal(legendre_values(degree, x), textbook_values(degree, x))
+        empty = legendre_values(degree, np.array([]))
+        assert empty.shape == (degree + 1, 0)
+        assert np.array_equal(empty, textbook_values(degree, np.array([])))
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            legendre_values(-1, [0.5])
+
     def test_recurrence_matches_numpy(self):
         x = np.linspace(-1, 1, 31)
         vals = legendre_values(12, x)
@@ -160,6 +185,19 @@ def test_evaluation_refuses_bad_points():
     x = 1.0 + 1e-12
     assert f(x) == legendre_values(1, [x])[:, 0] @ f.coeffs
     assert f(-1.0) == pytest.approx(math.sqrt(0.5) - 2.0 * math.sqrt(1.5))
+
+
+@pytest.mark.parametrize("shape, axis", [((0,), 0), ((3, 0), 1), ((0, 2, 2), 0)])
+def test_empty_coefficient_axis_refused(shape, axis):
+    # a zero-length axis has no degree, so no value could be read from it
+    with pytest.raises(ValueError, match=f"coefficient axis {axis} has length zero"):
+        LegendreSeries(np.zeros(shape))
+
+
+def test_zero_dimensional_series_is_a_value():
+    # vertex traces project to 0-d series, which extend to constants
+    f = LegendreSeries(np.array(2.5)).extend((), 2)
+    assert f([0.3, -0.7], [0.1, 0.9]) == pytest.approx([2.5, 2.5], rel=1e-14)
 
 
 def test_addition_refuses_mismatched_dimensions():

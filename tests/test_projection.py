@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from sobrecon.projection import (
     sobolev_project_legendre,
     sobolev_project_step,
 )
-from sobrecon.quadrature import QuadratureRule, dc_error, integrate, l2_error, rule_for
+from sobrecon.quadrature import (
+    QuadratureRule,
+    dc_error,
+    grid_quadrature,
+    integrate,
+    l2_error,
+    rule_for,
+)
 from sobrecon.targets import get_example, v_derivative
 
 
@@ -262,6 +270,22 @@ class TestSobolevLegendre:
         bare = sobolev_project_legendre(u, (5,), (16,), QuadratureRule(nodes=24, panels=4))
         full = sobolev_project_legendre(u, (5,), (16,), rule_for(u, nodes=24, panels=4))
         assert np.array_equal(bare.coeffs, full.coeffs)
+
+
+def test_degree_256_projection_holds_one_basis_table():
+    # fig1's rule at its top degree: the weighted basis table is built in
+    # place, so the peak is one (257, nodes) table and not two
+    u = get_example("example1-1d")
+    rule = QuadratureRule(nodes=264, panels=4)
+    (x,), _ = grid_quadrature(u.domain, rule_for(u, base=rule))
+    table_bytes = 257 * x.size * 8
+    tracemalloc.start()
+    try:
+        sobolev_project_legendre(u, (5,), (256,), rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table_bytes
 
 
 class TestSobolevStep:

@@ -77,6 +77,46 @@ class TestIntegrate:
         assert integrate(f, dom, rule) == pytest.approx(exact, rel=1e-12)
 
 
+class TestGridCache:
+    def test_equal_domain_and_rule_share_arrays(self):
+        def build():
+            return grid_quadrature(HyperRect((0.0, -1.0), (1.0, 2.0)),
+                                   QuadratureRule(nodes=5, panels=3, splits=((0.25,), ())))
+
+        (axes, weights), (again, again_w) = build(), build()
+        assert all(a is b for a, b in zip(axes + weights, again + again_w))
+
+    def test_shared_arrays_are_read_only(self):
+        axes, weights = grid_quadrature(HyperRect.cube(2), QuadratureRule(nodes=4, panels=2))
+        for arr in axes + weights:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_domains_with_one_rule_get_their_own_nodes(self):
+        rule = QuadratureRule(nodes=4, panels=2)
+        (x,), _ = grid_quadrature(HyperRect.cube(1), rule)
+        (y,), _ = grid_quadrature(HyperRect((0.0,), (1.0,)), rule)
+        assert x.min() < 0.0 < y.min()
+        assert np.array_equal(y, axis_quadrature(0.0, 1.0, nodes=4, panels=2)[0])
+
+    def test_returned_lists_are_fresh(self):
+        dom, rule = HyperRect.cube(2), QuadratureRule(nodes=3, panels=1)
+        axes, weights = grid_quadrature(dom, rule)
+        axes[0] = np.zeros(7)
+        weights.append(np.ones(2))
+        again, again_w = grid_quadrature(dom, rule)
+        assert [len(a) for a in again] == [3, 3]
+        assert len(again_w) == 2
+
+    def test_rule_sequences_become_tuples(self):
+        # a rule must hash to be a cache key, whatever sequences it was given
+        rule = QuadratureRule(nodes=4, panels=1, splits=[[np.float64(0.5)], []],
+                              grading=[None, AxisGrading(0.0)])
+        tuples = QuadratureRule(nodes=4, panels=1, splits=((0.5,), ()),
+                                grading=(None, AxisGrading(0.0)))
+        assert rule == tuples and hash(rule) == hash(tuples)
+
+
 class TestAxisQuadrature:
     def test_graded_panels_cluster_toward_center(self):
         x, w = axis_quadrature(-1.0, 1.0, splits=(0.0,),
