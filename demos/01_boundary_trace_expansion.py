@@ -7,7 +7,7 @@ and lifted back by a polynomial multiplier or a Volterra integral.  The six
 lifted terms sum to u exactly.
 """
 
-from sobrecon import HyperRect, PiecewisePoly, multiindex_range
+from sobrecon import HyperRect, PiecewisePoly, QuadratureRule, multiindex_range
 from sobrecon.expansion import term_at_point
 
 dom = HyperRect((0.0, 0.0), (1.0, 1.0))
@@ -20,7 +20,7 @@ print(f"{'alpha':>8} {'face':>10} {'term':>22}")
 total = 0.0
 for alpha in multiindex_range(delta):
     trace = u.boundary_trace(alpha, delta)
-    term = term_at_point(trace, point)
+    term = term_at_point(trace, point, QuadratureRule())
     total += term
     print(f"{str(alpha):>8} {str(trace.face):>10} {term:>22.15f}")
 

@@ -3,8 +3,8 @@
 Approximation targets carry a closed-form evaluator for every admissible
 mixed derivative, plus per-axis breakpoint and singular-point metadata that
 drives quadrature panel placement.  Derivatives are never obtained by
-numerical differentiation; finite differences appear only as a cross-check
-away from breakpoints.
+numerical differentiation; finite differences appear only in the tests, as
+a cross-check away from breakpoints.
 """
 
 from __future__ import annotations
@@ -119,21 +119,3 @@ class AnalyticFunction:
         if not leq(order, self.delta):
             raise ValueError(f"expansion order {order} exceeds smoothness {self.delta}")
         return boundary_trace(self, alpha, order)
-
-
-def finite_difference_error(u: AnalyticFunction, alpha, axis: int, points,
-                            h: float = 1e-4) -> float:
-    """Max relative error of the central difference of D^alpha along `axis`
-    against the stored next-order evaluator, over the given points."""
-    alpha = as_multiindex(alpha, ndim=u.domain.ndim)
-    up = tuple(a + (1 if i == axis else 0) for i, a in enumerate(alpha))
-    lo_ev, hi_ev = u.derivatives[alpha], u.derivatives[up]
-    worst = 0.0
-    for p in points:
-        p = tuple(float(x) for x in p)
-        plus = tuple(x + h if i == axis else x for i, x in enumerate(p))
-        minus = tuple(x - h if i == axis else x for i, x in enumerate(p))
-        fd = (float(lo_ev(*plus)) - float(lo_ev(*minus))) / (2 * h)
-        exact = float(hi_ev(*p))
-        worst = max(worst, abs(fd - exact) / max(abs(exact), 1.0))
-    return worst

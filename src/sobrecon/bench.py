@@ -81,23 +81,35 @@ def norm_rule(u: AnalyticFunction, approx, panels=None) -> QuadratureRule:
     splits = approx.breaks if isinstance(approx, PiecewisePoly) else None
     if u.piece_degree is not None:
         nodes = max(max(u.piece_degree), max(approx.degree)) + 1
-        return rule_for(u, extra_splits=splits, nodes=nodes,
-                        panels=1 if panels is None else panels)
+        base = QuadratureRule(nodes=nodes, panels=1 if panels is None else panels)
+        return rule_for(u, base, extra_splits=splits)
     if panels is None:
         panels = 32 if u.domain.ndim == 1 else 16
-    return rule_for(u, extra_splits=splits, panels=panels)
+    return rule_for(u, QuadratureRule(panels=panels), extra_splits=splits)
+
+
+#: The least parameter of each sweep method: a Legendre degree, a step cell count.
+SWEEP_METHODS = {"legendre": 0, "step": 1}
+
+
+def check_sweep(method: str, params):
+    """Refuse an unknown method, or a parameter below the method's least."""
+    if method not in SWEEP_METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of {sorted(SWEEP_METHODS)}")
+    if below := [p for p in params if p < SWEEP_METHODS[method]]:
+        raise ValueError(f"a {method} sweep needs parameters >= {SWEEP_METHODS[method]}, "
+                         f"got {below}")
 
 
 def approximant(u: AnalyticFunction, method: str, gamma, param: int, nodes=None):
     """The order-`gamma` projection of `u` at one sweep parameter."""
+    check_sweep(method, [param])
     size = (int(param),) * u.domain.ndim
     if method == "legendre":
         rule = QuadratureRule(nodes=max(16, param + 8) if nodes is None else nodes, panels=4)
         return sobolev_project_legendre(u, gamma, size, rule)
-    if method == "step":
-        rule = QuadratureRule(nodes=16 if nodes is None else nodes, panels=4)
-        return sobolev_project_step(u, gamma, size, rule)
-    raise ValueError(f"unknown method {method!r}; use 'legendre' or 'step'")
+    rule = QuadratureRule(nodes=16 if nodes is None else nodes, panels=4)
+    return sobolev_project_step(u, gamma, size, rule)
 
 
 def sweep_point(u: AnalyticFunction, method: str, gamma, param: int,
@@ -119,6 +131,7 @@ def run_sweep(u: AnalyticFunction, method: str, gamma, params,
         raise ValueError("need at least one parameter value")
     if any(b >= a for a, b in zip(params[1:], params[:-1])):
         raise ValueError("parameter values must increase strictly")
+    check_sweep(method, params)
 
     result = SweepResult(params, [], [], [], [])
     for param in params:

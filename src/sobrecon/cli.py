@@ -54,12 +54,15 @@ def _quad_kwargs(args) -> dict:
 
 def _sweep_params(args, method: str, default) -> list[int]:
     """The sweep's parameter list: --degrees for a Legendre sweep, --cells
-    for a step sweep; the other method's flag is refused."""
+    for a step sweep; the other method's flag, and a parameter the method
+    cannot take, are refused."""
     own, other = ("degrees", "cells") if method == "legendre" else ("cells", "degrees")
     if getattr(args, other) is not None:
         raise ValueError(f"--{other} does not apply to a {method} sweep; use --{own}")
     text = getattr(args, own)
-    return list(default if text is None else _parse_ints(text))
+    params = list(default if text is None else _parse_ints(text))
+    bench.check_sweep(method, params)
+    return params
 
 
 def _csv_name(example: str, method: str, gamma) -> str:
@@ -110,7 +113,7 @@ def cmd_expand(args) -> int:
     if len(point) != nd:
         print(f"point needs {nd} coordinates", file=sys.stderr)
         return 2
-    rule = rule_for(u, **_quad_kwargs(args))
+    rule = rule_for(u, QuadratureRule(**_quad_kwargs(args)))
 
     print(f"expansion of {u.name or args.example} at point {point}, order {delta}")
     header = f"{'alpha':>12} {'face':>12} {'term':>24}"
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="free-form convergence sweep")
     p.add_argument("--example", required=True)
-    p.add_argument("--method", choices=["legendre", "step"], required=True)
+    p.add_argument("--method", choices=sorted(bench.SWEEP_METHODS), required=True)
     p.add_argument("--gamma", default=None, help="projection order, e.g. 3,3")
     p.add_argument("--degrees", default=None)
     p.add_argument("--cells", default=None)

@@ -8,6 +8,7 @@ subset of axes at the lower domain boundary.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,6 +90,9 @@ class HyperRect:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or len(lo) < 1:
             raise ValueError("lo and hi must be equal-length, nonempty")
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"bounds must be finite, got [{a}, {b}] on axis {i}")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError(f"need lo < hi on every axis, got {lo}, {hi}")
 

@@ -198,7 +198,7 @@ def fund_int_pair(k: int, top: int, v: PiecewisePoly):
     return lhs, rhs
 
 
-def term_at_point(trace: TraceFunction, point, rule=None) -> float:
+def term_at_point(trace: TraceFunction, point, rule: quadrature.QuadratureRule) -> float:
     """Numeric value at one point of the summand that lifts `trace`.
 
     Everything comes from the trace: the domain is trace.f.domain, and per
@@ -213,7 +213,6 @@ def term_at_point(trace: TraceFunction, point, rule=None) -> float:
     point = tuple(float(p) for p in point)
     if not domain.contains(point):
         raise ValueError(f"point {point} outside domain")
-    rule = rule or quadrature.QuadratureRule()
 
     factor = 1.0
     volterra = {}  # axis -> (nodes, weights times kernel) on [lo_i, s_i]

@@ -356,7 +356,7 @@ class PiecewisePoly:
             if i in axes:
                 x, w = axis_quadrature(
                     self.domain.lo[i], self.domain.hi[i],
-                    _union(self.breaks[i], other.breaks[i]),
+                    _union(self.breaks[i], other.breaks[i]), None,
                     nodes=(self.degree[i] + other.degree[i]) // 2 + 1, panels=1)
             else:
                 for f in (self, other):

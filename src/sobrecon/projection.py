@@ -90,18 +90,18 @@ def _project_traces(u: AnalyticFunction, gamma: MultiIndex, rule: QuadratureRule
 
 
 def sobolev_project_legendre(u: AnalyticFunction, gamma, degree,
-                             rule: QuadratureRule | None = None) -> LegendreSeries:
+                             rule: QuadratureRule) -> LegendreSeries:
     """Order-gamma approximant: project each boundary trace onto Legendre
     polynomials of (face-restricted) degree `degree`, then reassemble.
 
     The result is a polynomial of degree at most degree + gamma per axis.
     At order zero this is the plain L2 Legendre projection of u.  The rule
-    is completed with u's splits and grading by `rule_for(u, base=rule)`.
+    is completed with u's splits and grading by `rule_for(u, rule)`.
     """
     nd = u.domain.ndim
     gamma = as_multiindex(gamma, ndim=nd)
     degree = as_multiindex(degree, ndim=nd)
-    rule = rule_for(u, base=rule or QuadratureRule(nodes=max(16, max(degree) + 8), panels=8))
+    rule = rule_for(u, rule)
 
     def project_face(trace, axes, weights):
         act = trace.active
@@ -112,14 +112,14 @@ def sobolev_project_legendre(u: AnalyticFunction, gamma, degree,
 
 
 def sobolev_project_step(u: AnalyticFunction, gamma, counts,
-                         rule: QuadratureRule | None = None) -> PiecewisePoly:
+                         rule: QuadratureRule) -> PiecewisePoly:
     """Order-gamma approximant from cell-averaged boundary traces: a
-    piecewise polynomial of degree at most gamma per axis on the cell grid."""
+    piecewise polynomial of degree at most gamma per axis on the cell grid.
+    The rule gets u's splits and grading and the cell edges from `rule_for`."""
     nd = u.domain.ndim
     gamma = as_multiindex(gamma, ndim=nd)
     counts = as_multiindex(counts, ndim=nd)
-    rule = rule_for(u, base=rule or QuadratureRule(nodes=16, panels=8),
-                    extra_splits=cell_edges(counts, nd))
+    rule = rule_for(u, rule, extra_splits=cell_edges(counts, nd))
 
     def project_face(trace, axes, weights):
         act = trace.active

@@ -5,7 +5,9 @@ points (function breakpoints, approximant cell edges), with optional
 geometric grading toward an integrable singularity.  Gauss nodes are
 strictly interior, so singular points and breakpoints are never evaluated.
 A tensor grid is built once per (domain, rule) and its node and weight
-arrays are then shared, read-only, by every reader of that grid.
+arrays are then shared, read-only, by every reader of that grid.  Every
+reader is given its rule: the default size lives only in QuadratureRule's
+fields, and rule_for completes a base rule for a target.
 
 Three error norms are provided, each of f alone when g is None: plain L2,
 the mixed-smoothness Sobolev norm (sum over the box alpha <= order), and
@@ -16,7 +18,7 @@ boundary traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -54,6 +56,10 @@ class QuadratureRule:
     grading: tuple[AxisGrading | None, ...] | None = None
 
     def __post_init__(self):
+        for name, value in (("nodes", self.nodes), ("panels", self.panels)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.nodes < 2:
             raise ValueError("need at least 2 Gauss nodes per panel")
         if self.panels < 1:
@@ -78,12 +84,11 @@ class QuadratureRule:
         return self.grading[axis]
 
 
-def rule_for(u, *, base: QuadratureRule | None = None,
-             extra_splits=None, nodes=None, panels=None) -> QuadratureRule:
-    """Concrete rule for a target function: splits at its breakpoints and
-    geometric grading toward its singular point on each axis (at most one,
-    see AnalyticFunction)."""
-    base = base or QuadratureRule()
+def rule_for(u, base: QuadratureRule = QuadratureRule(), *,
+             extra_splits=None) -> QuadratureRule:
+    """Concrete rule for a target function: the base rule's size, splits at
+    its breakpoints (and `extra_splits`) and geometric grading toward its
+    singular point on each axis (at most one, see AnalyticFunction)."""
     ndim = u.domain.ndim
     splits = [set(base.axis_splits(i)) for i in range(ndim)]
     grading = [base.axis_grading(i) for i in range(ndim)]
@@ -94,12 +99,7 @@ def rule_for(u, *, base: QuadratureRule | None = None,
     if extra_splits is not None:
         for i in range(ndim):
             splits[i] |= set(float(s) for s in extra_splits[i])
-    return QuadratureRule(
-        nodes=base.nodes if nodes is None else nodes,
-        panels=base.panels if panels is None else panels,
-        splits=tuple(tuple(sorted(s)) for s in splits),
-        grading=tuple(grading),
-    )
+    return replace(base, splits=tuple(tuple(sorted(s)) for s in splits), grading=tuple(grading))
 
 
 #: Distinct (domain, rule) grids that grid_quadrature keeps; one figure
@@ -113,8 +113,8 @@ def _gauss(n: int):
     return x, w
 
 
-def axis_quadrature(lo: float, hi: float, splits=(), grading=None,
-                    nodes: int = 16, panels: int = 32):
+def axis_quadrature(lo: float, hi: float, splits, grading: AxisGrading | None,
+                    nodes: int, panels: int):
     """Nodes and weights of the composite rule on [lo, hi].
 
     Segments between mandatory splits are subdivided uniformly with a panel
@@ -207,9 +207,8 @@ def _contract(values: np.ndarray, weights) -> float:
     return float(total)
 
 
-def integrate(f, domain: HyperRect, rule: QuadratureRule | None = None) -> float:
+def integrate(f, domain: HyperRect, rule: QuadratureRule) -> float:
     """Tensor-product composite Gauss approximation of the integral over the domain."""
-    rule = rule or QuadratureRule()
     axes, weights = grid_quadrature(domain, rule)
     values = grid_values(f, axes)
     _check_finite(values, axes)
@@ -249,15 +248,14 @@ def error_components(f, g, indices, domain: HyperRect,
     return components
 
 
-def l2_error(f, g, domain: HyperRect, rule: QuadratureRule | None = None) -> float:
+def l2_error(f, g, domain: HyperRect, rule: QuadratureRule) -> float:
     """L2 norm of f - g (of f alone when g is None), by quadrature."""
     zero = (0,) * domain.ndim
-    comp = error_components(f, g, [zero], domain, rule or QuadratureRule())
+    comp = error_components(f, g, [zero], domain, rule)
     return math.sqrt(max(comp[zero], 0.0))
 
 
-def sobolev_error(f, g, order, domain: HyperRect,
-                  rule: QuadratureRule | None = None) -> float:
+def sobolev_error(f, g, order, domain: HyperRect, rule: QuadratureRule) -> float:
     """Mixed-smoothness Sobolev norm of f - g (of f alone when g is None),
     by quadrature: the root-sum-of-squares of the L2 norms of D^alpha over
     the box alpha <= order.
@@ -265,8 +263,7 @@ def sobolev_error(f, g, order, domain: HyperRect,
     Both operands must supply derivative values on tensor grids up to the
     requested order.
     """
-    comp = error_components(f, g, multiindex_range(order), domain,
-                            rule or QuadratureRule())
+    comp = error_components(f, g, multiindex_range(order), domain, rule)
     return math.sqrt(max(sum(comp.values()), 0.0))
 
 
@@ -278,13 +275,11 @@ def _face_axes(axes, weights, face):
     return [axes[i] for i in act], [weights[i] for i in act]
 
 
-def dc_error(f, g, order, domain: HyperRect,
-             rule: QuadratureRule | None = None) -> float:
+def dc_error(f, g, order, domain: HyperRect, rule: QuadratureRule) -> float:
     """Discrete-continuous norm of f - g (of f alone when g is None):
     root-sum-of-squares of the face L2 norms of all boundary traces.
 
     Operands must implement boundary_trace(alpha, order)."""
-    rule = rule or QuadratureRule()
     order = as_multiindex(order)
     domain_axes, domain_weights = grid_quadrature(domain, rule)
     total = 0.0

@@ -235,7 +235,7 @@ def optimality_suite(seed: int = 42, trials: int = 50) -> list[CheckResult]:
 
     # L2 optimality of the Legendre projection, degree 8
     d = (8,)
-    proj_rule = rule_for(u1, nodes=d[0] + 8, panels=4)
+    proj_rule = rule_for(u1, QuadratureRule(nodes=d[0] + 8, panels=4))
     results.append(perturbation_check(
         "L2 optimality of Legendre projection",
         lambda g: l2_error(u1, g, dom1, proj_rule),
@@ -255,7 +255,7 @@ def optimality_suite(seed: int = 42, trials: int = 50) -> list[CheckResult]:
     # dc-norm optimality of the order-gamma trace projection, perturbing
     # within the polynomials of degree d + gamma
     gamma, d = (5,), (6,)
-    proj_rule = rule_for(u1, nodes=d[0] + 14, panels=4)
+    proj_rule = rule_for(u1, QuadratureRule(nodes=d[0] + 14, panels=4))
     dplus = tuple(a + b for a, b in zip(d, gamma))
     results.append(perturbation_check(
         "dc-norm optimality of trace projection",
@@ -274,6 +274,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 42, trials: int | None = None) -> list[CheckResult]:
+    if trials is not None and trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     names = list(SUITES) if name == "all" else [name]
     results = []
     for n in names:

@@ -16,7 +16,7 @@ from sobrecon.bench import (
 )
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.projection import cell_edges
-from sobrecon.quadrature import error_components, grid_quadrature, rule_for
+from sobrecon.quadrature import QuadratureRule, error_components, grid_quadrature, rule_for
 from sobrecon.targets import get_example
 
 
@@ -93,11 +93,29 @@ class TestSweep:
         u = get_example("example1-1d")
         r = run_sweep(u, "step", (0,), [2, 4, 8])
         assert not r.failures
-        # an unknown method fails inside every point
-        bad = run_sweep(u, "bogus-method", (0,), [2, 4])
+        # an order above the target's smoothness fails inside every point
+        bad = run_sweep(u, "step", (6,), [2, 4])
         assert len(bad.failures) == 2
         assert all(math.isnan(v) for v in bad.l2)
         assert all(msg.startswith("ValueError: ") for _, msg in bad.failures)
+
+    @pytest.mark.parametrize("method, params, match", [
+        ("bogus-method", [2, 4], "unknown method"),
+        ("step", [0, 2, 4], r"step sweep needs parameters >= 1, got \[0\]"),
+        ("legendre", [-1, 2, 4], r"legendre sweep needs parameters >= 0, got \[-1\]"),
+    ])
+    def test_refuses_points_no_approximant_takes(self, method, params, match):
+        # refused before any point runs, not recorded as failed points
+        u = get_example("example1-1d")
+        with pytest.raises(ValueError, match=match):
+            run_sweep(u, method, (0,), params)
+        with pytest.raises(ValueError, match=match):
+            approximant(u, method, (0,), params[0])
+
+    @pytest.mark.parametrize("method, param", [("legendre", 0), ("step", 1)])
+    def test_least_parameter_runs(self, method, param):
+        r = run_sweep(get_example("example1-1d"), method, (0,), [param, 2])
+        assert not r.failures
 
 
 class TestDegreeSizedNormRule:
@@ -129,7 +147,7 @@ class TestDegreeSizedNormRule:
         approx = approximant(u, method, gamma, param)
         rule = norm_rule(u, approx)
         edges = cell_edges((param,) * 2, 2) if method == "step" else None
-        flat = rule_for(u, extra_splits=edges, panels=16)
+        flat = rule_for(u, QuadratureRule(panels=16), extra_splits=edges)
         axis_nodes = [len(grid_quadrature(u.domain, r)[0][0]) for r in (rule, flat)]
         assert axis_nodes[0] < axis_nodes[1]
         got = error_norms(u, approx, rule)
@@ -163,10 +181,12 @@ class TestDegreeSizedNormRule:
         for method, edges in (("step", cell_edges((param,) * nd, nd)), ("legendre", None)):
             approx = approximant(u, method, gamma, param)
             if u.piece_degree is None:
-                want = rule_for(u, extra_splits=edges, panels=32 if nd == 1 else 16)
+                want = rule_for(u, QuadratureRule(panels=32 if nd == 1 else 16),
+                                extra_splits=edges)
             else:
                 nodes = max(max(u.piece_degree), max(approx.degree)) + 1
-                want = rule_for(u, extra_splits=edges, nodes=nodes, panels=1)
+                want = rule_for(u, QuadratureRule(nodes=nodes, panels=1),
+                                extra_splits=edges)
             assert norm_rule(u, approx) == want
 
 

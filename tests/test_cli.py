@@ -24,6 +24,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "roundtrip-forward N=3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suite", ["roundtrip", "identities", "optimality", "all"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_exits_2_before_any_suite(self, suite, trials, capsys):
+        # zero trials would pass every check vacuously
+        code = main(["verify", suite, "--trials", trials])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: ") and "trial" in err
+        assert out == ""
+
 
 class TestExpandCommand:
     def test_example1_terms_sum_to_value(self, capsys):
@@ -120,6 +130,19 @@ class TestReproduceCommand:
         out, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("error: ")
+        assert "param=" not in out and "failed" not in out
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--example", "example1-1d", "--method", "step", "--cells", "0,2,4"],
+        ["sweep", "--example", "example1-1d", "--method", "legendre", "--degrees=-1,2,4"],
+        ["reproduce", "fig2", "--cells", "0,2,4"],
+    ])
+    def test_parameter_below_the_methods_least_exits_2(self, argv, tmp_path, capsys):
+        code = main(argv + ["--out", str(tmp_path / "results")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: ") and "needs parameters >=" in err
         assert "param=" not in out and "failed" not in out
         assert not (tmp_path / "results").exists()
 

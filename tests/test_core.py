@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sobrecon.core import (
@@ -79,3 +81,15 @@ def test_hyperrect_validation():
     with pytest.raises(ValueError):
         HyperRect((0.0,), (0.0,))
     assert HyperRect.cube(3).lo == (-1.0, -1.0, -1.0)
+
+
+@pytest.mark.parametrize("lo, hi, axis", [
+    ((math.nan,), (1.0,), 0),
+    ((-math.inf,), (math.inf,), 0),
+    ((0.0,), (math.inf,), 0),
+    ((0.0, 0.0), (1.0, math.nan), 1),
+])
+def test_hyperrect_refuses_nonfinite_bounds(lo, hi, axis):
+    # NaN fails every lo >= hi test, so only an explicit check refuses it
+    with pytest.raises(ValueError, match=f"finite.*axis {axis}"):
+        HyperRect(lo, hi)

@@ -242,7 +242,7 @@ def test_term_table_sums_to_value():
     total = 0.0
     for alpha in multiindex_range(delta):
         trace = u.boundary_trace(alpha, delta)
-        total += term_at_point(trace, (1.0, 1.0))
+        total += term_at_point(trace, (1.0, 1.0), QuadratureRule())
     assert total == pytest.approx(1.0, rel=1e-9)
 
 

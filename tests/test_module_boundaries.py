@@ -1,7 +1,7 @@
 """No sobrecon module reaches into another module's `_`-prefixed names, only
 `core` builds TraceFunction values, no function keeps a local it never
-reads, no module imports a name it never reads, and every name in
-`sobrecon.__all__` exists.
+reads, no module imports a name it never reads, no function falls back to
+a default quadrature rule, and every name in `sobrecon.__all__` exists.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -223,6 +223,47 @@ def test_unread_import_detector():
         "    return np.sum(x)\n"
     )
     assert unread_imports(source) == ["math (line 2)", "os (line 4)", "leq (line 5)"]
+
+
+def defaulted_rules(source: str) -> list[str]:
+    """`function: what (line n)` for each function with a parameter `rule`
+    that defaults to None, and for a `rule_for` that takes `nodes` or
+    `panels` beside its base rule."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        defaulted = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        defaulted += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        if any(a.arg == "rule" and isinstance(d, ast.Constant) and d.value is None
+               for a, d in defaulted):
+            found.append(f"{func.name}: rule=None (line {func.lineno})")
+        sizes = [a.arg for a in positional + args.kwonlyargs if a.arg in ("nodes", "panels")]
+        if func.name == "rule_for" and sizes:
+            found.append(f"rule_for: {', '.join(sizes)} (line {func.lineno})")
+    return sorted(found)
+
+
+def test_no_defaulted_rules():
+    # a rule is sized in one place (QuadratureRule's fields) and completed
+    # for a target by rule_for; no reader falls back to a flat rule
+    offenders = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+                 if (found := defaulted_rules(path.read_text()))}
+    assert not offenders, offenders
+
+
+def test_defaulted_rule_detector():
+    source = (
+        "def a(f, rule=None):\n    pass\n"
+        "def b(f, *, rule=None):\n    pass\n"
+        "def c(f, rule, nodes=None):\n    pass\n"
+        "def d(f, rule=QuadratureRule()):\n    pass\n"
+        "def rule_for(u, base=None, *, nodes=None, panels=None):\n    pass\n"
+    )
+    assert defaulted_rules(source) == [
+        "a: rule=None (line 1)", "b: rule=None (line 3)", "rule_for: nodes, panels (line 9)"]
 
 
 def test_all_exports_resolve():

@@ -33,14 +33,24 @@ def plain(f, ndim=1, **kwargs):
     return AnalyticFunction(HyperRect.cube(ndim), zero, {zero: f}, **kwargs)
 
 
-def legendre_direct(f, degree, rule=None):
+def legendre_rule(degree) -> QuadratureRule:
+    """The rule these tests take Legendre projections with: 8 panels of
+    max(16, degree + 8) nodes."""
+    return QuadratureRule(nodes=max(16, max(degree) + 8), panels=8)
+
+
+#: The rule these tests take step projections with.
+STEP_RULE = QuadratureRule(nodes=16, panels=8)
+
+
+def legendre_direct(f, degree):
     n = len(degree)
-    return sobolev_project_legendre(plain(f, n), (0,) * n, degree, rule)
+    return sobolev_project_legendre(plain(f, n), (0,) * n, degree, legendre_rule(degree))
 
 
-def step_direct(f, counts, rule=None):
+def step_direct(f, counts):
     n = len(counts)
-    return sobolev_project_step(plain(f, n), (0,) * n, counts, rule)
+    return sobolev_project_step(plain(f, n), (0,) * n, counts, STEP_RULE)
 
 
 class TestLegendreProjection:
@@ -100,7 +110,7 @@ class TestStepProjection:
         # grading toward 0 puts nodes within 1e-16 of it, where x + 1 rounds
         # to 1.0; the cell right of 0 must not see them
         f = plain(lambda x: (x < 0.0).astype(float), singular_points=((0.0,),))
-        step = sobolev_project_step(f, (0,), (cells,))
+        step = sobolev_project_step(f, (0,), (cells,), STEP_RULE)
         values = step.coeffs.reshape(-1)
         assert np.all(values[cells // 2:] == 0.0)
         assert np.allclose(values[:cells // 2], 1.0, rtol=1e-14)
@@ -111,7 +121,7 @@ class TestSobolevLegendre:
         # coefficient k of the direct projection is the integral of
         # u * sqrt(k + 1/2) P_k, here by the same rule through `integrate`
         u = get_example("example1-1d")
-        rule = rule_for(u, nodes=16, panels=8)
+        rule = rule_for(u, QuadratureRule(nodes=16, panels=8))
         recon = sobolev_project_legendre(u, (0,), (8,), rule)
         basis = np.polynomial.legendre.Legendre.basis
         direct = [integrate(lambda x, k=k: u(x) * np.sqrt(k + 0.5) * basis(k)(x),
@@ -122,7 +132,7 @@ class TestSobolevLegendre:
         u = get_example("poly-random", seed=5, ndim=2, delta=(2, 1), degree_margin=1)
         # u has degree (3, 2), so each trace is reproduced exactly by its
         # projection at degree (3, 2) on the face's active axes
-        recon = sobolev_project_legendre(u, (2, 1), (3, 2))
+        recon = sobolev_project_legendre(u, (2, 1), (3, 2), legendre_rule((3, 2)))
         xs = np.linspace(-1, 1, 9)
         got = recon.eval_grid([xs, xs])
         want = u.derivative_grid((0, 0), [xs, xs])
@@ -130,14 +140,14 @@ class TestSobolevLegendre:
 
     def test_degree_bookkeeping(self):
         u = get_example("example2-2d")
-        recon = sobolev_project_legendre(u, (2, 1), (3, 3))
+        recon = sobolev_project_legendre(u, (2, 1), (3, 3), legendre_rule((3, 3)))
         assert recon.degree == (5, 4)  # degree + gamma per axis
 
     def test_commutation_with_trace_extraction(self):
         # traces of the reconstruction == individually projected traces
         u = get_example("example2-2d")
         gamma, degree = (2, 2), (3, 3)
-        rule = rule_for(u, nodes=24, panels=4)  # same splits on both axes
+        rule = rule_for(u, QuadratureRule(nodes=24, panels=4))  # same splits on both axes
         recon = sobolev_project_legendre(u, gamma, degree, rule)
         for alpha in multiindex_range(gamma):
             face = recon.boundary_trace(alpha, gamma)
@@ -159,7 +169,7 @@ class TestSobolevLegendre:
         # a polynomial target of degree (3, 3) is reproduced exactly, so the
         # series and the PiecewisePoly it came from share every derivative
         u = get_example("poly-random", seed=3, ndim=2, delta=(2, 2), degree_margin=1)
-        recon = sobolev_project_legendre(u, (2, 2), (3, 3))
+        recon = sobolev_project_legendre(u, (2, 2), (3, 3), legendre_rule((3, 3)))
         pw = u.derivatives[(0, 0)]
         xs = np.linspace(-1, 1, 8)
         for alpha in [(0, 0), (1, 0), (2, 2), (3, 3)]:
@@ -201,7 +211,7 @@ class TestSobolevLegendre:
         entry by entry, to first order in u.
         """
         u = get_example(name)
-        rule = rule_for(u, nodes=degree + 8, panels=4)  # the sweeps' rule
+        rule = rule_for(u, QuadratureRule(nodes=degree + 8, panels=4))  # the sweeps' rule
         degrees = (degree,) * len(gamma)
         recon = sobolev_project_legendre(u, gamma, degrees, rule)
         zero = (0,) * len(gamma)
@@ -242,7 +252,7 @@ class TestSobolevLegendre:
         # that the same directions must see.
         u = get_example("example1-1d")
         gamma, d = (5,), (6,)
-        rule = rule_for(u, nodes=d[0] + 14, panels=4)
+        rule = rule_for(u, QuadratureRule(nodes=d[0] + 14, panels=4))
         pd = sobolev_project_legendre(u, gamma, d, rule)
         rng = np.random.default_rng(0)
         directions = []
@@ -261,14 +271,15 @@ class TestSobolevLegendre:
     def test_rejects_excessive_order(self):
         u = get_example("example1-1d")
         with pytest.raises(ValueError, match="exceeds smoothness"):
-            sobolev_project_legendre(u, (6,), (4,))
+            sobolev_project_legendre(u, (6,), (4,), legendre_rule((4,)))
 
     def test_completes_a_bare_rule_for_the_target(self):
         """A bare rule gets the target's splits and grading, as the step
         projection's does."""
         u = get_example("example1-1d")
         bare = sobolev_project_legendre(u, (5,), (16,), QuadratureRule(nodes=24, panels=4))
-        full = sobolev_project_legendre(u, (5,), (16,), rule_for(u, nodes=24, panels=4))
+        full = sobolev_project_legendre(u, (5,), (16,),
+                                        rule_for(u, QuadratureRule(nodes=24, panels=4)))
         assert np.array_equal(bare.coeffs, full.coeffs)
 
 
@@ -277,7 +288,7 @@ def test_degree_256_projection_holds_one_basis_table():
     # place, so the peak is one (257, nodes) table and not two
     u = get_example("example1-1d")
     rule = QuadratureRule(nodes=264, panels=4)
-    (x,), _ = grid_quadrature(u.domain, rule_for(u, base=rule))
+    (x,), _ = grid_quadrature(u.domain, rule_for(u, rule))
     table_bytes = 257 * x.size * 8
     tracemalloc.start()
     try:
@@ -292,7 +303,7 @@ class TestSobolevStep:
     def test_order_zero_is_cell_average(self):
         # the mean of u over each cell, by quadrature on that cell alone
         u = get_example("example1-1d")
-        qk = sobolev_project_step(u, (0,), (8,))
+        qk = sobolev_project_step(u, (0,), (8,), STEP_RULE)
         got = extract_traces_poly(qk, (0,)).entries[(0,)]
         edges = np.linspace(-1.0, 1.0, 9)
         means = [integrate(u, HyperRect((a,), (b,)), rule_for(u)) / (b - a)
@@ -302,19 +313,19 @@ class TestSobolevStep:
 
     def test_exact_recovery_of_example2(self):
         w = get_example("example2-2d")
-        qk = sobolev_project_step(w, (3, 3), (4, 4))
+        qk = sobolev_project_step(w, (3, 3), (4, 4), STEP_RULE)
         rule = rule_for(w, extra_splits=cell_edges((4, 4), 2))
         assert l2_error(w, qk, w.domain, rule) <= 1e-12
 
     def test_degree_cap_is_gamma(self):
         u = get_example("example1-1d")
-        qk = sobolev_project_step(u, (3,), (8,))
+        qk = sobolev_project_step(u, (3,), (8,), STEP_RULE)
         assert qk.degree == (3,)
 
     def test_commutation_with_trace_extraction(self):
         u = get_example("example1-1d")
         gamma, cells = (3,), (8,)
-        qk = sobolev_project_step(u, gamma, cells)
+        qk = sobolev_project_step(u, gamma, cells, STEP_RULE)
         bundle = extract_traces_poly(qk, gamma)
         rule = rule_for(u, extra_splits=cell_edges(cells, 1))
         top_trace = AnalyticFunction(u.domain, (0,), {(0,): u.derivatives[(3,)]},
@@ -327,7 +338,7 @@ class TestSobolevStep:
         # the mean of the top derivative lifted through the Volterra kernel.
         # For the quintic target the top-derivative mean is exactly 2/3.
         u = get_example("example1-1d")
-        q1 = sobolev_project_step(u, (5,), (1,))
+        q1 = sobolev_project_step(u, (5,), (1,), STEP_RULE)
         mean_top = 2.0 / 3.0
         xs = np.linspace(-1, 1, 11)
 

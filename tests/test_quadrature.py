@@ -7,8 +7,9 @@ from sobrecon import legseries
 from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.legseries import LegendreSeries
-from sobrecon.expansion import reconstruct
+from sobrecon.expansion import reconstruct, term_at_point
 from sobrecon.piecewise import PiecewisePoly
+from sobrecon.projection import sobolev_project_legendre, sobolev_project_step
 from sobrecon.quadrature import (
     AxisGrading,
     QuadratureRule,
@@ -97,7 +98,7 @@ class TestGridCache:
         (x,), _ = grid_quadrature(HyperRect.cube(1), rule)
         (y,), _ = grid_quadrature(HyperRect((0.0,), (1.0,)), rule)
         assert x.min() < 0.0 < y.min()
-        assert np.array_equal(y, axis_quadrature(0.0, 1.0, nodes=4, panels=2)[0])
+        assert np.array_equal(y, axis_quadrature(0.0, 1.0, (), None, 4, 2)[0])
 
     def test_returned_lists_are_fresh(self):
         dom, rule = HyperRect.cube(2), QuadratureRule(nodes=3, panels=1)
@@ -117,6 +118,20 @@ class TestGridCache:
         assert rule == tuples and hash(rule) == hash(tuples)
 
 
+class TestQuadratureRule:
+    @pytest.mark.parametrize("size", [
+        dict(nodes=2.5), dict(nodes=16.0), dict(panels=4.0), dict(nodes=True), dict(panels="4")])
+    def test_refuses_non_integer_sizes(self, size):
+        # refused when built, not at the first leggauss call
+        with pytest.raises(ValueError, match="must be an integer"):
+            QuadratureRule(**size)
+
+    def test_takes_numpy_integer_sizes(self):
+        rule = QuadratureRule(nodes=np.int64(8), panels=np.int32(2))
+        assert rule == QuadratureRule(nodes=8, panels=2)
+        assert type(rule.nodes) is int and type(rule.panels) is int
+
+
 class TestAxisQuadrature:
     def test_graded_panels_cluster_toward_center(self):
         x, w = axis_quadrature(-1.0, 1.0, splits=(0.0,),
@@ -127,7 +142,7 @@ class TestAxisQuadrature:
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
-            axis_quadrature(1.0, 1.0)
+            axis_quadrature(1.0, 1.0, (), None, 16, 32)
 
     @pytest.mark.parametrize("c", [0.3, -0.5, 0.9])
     @pytest.mark.parametrize("nodes", [2, 16, 64, 264, 512])
@@ -136,7 +151,7 @@ class TestAxisQuadrature:
         # c: levels that narrow must go, not collapse onto c
         u = AnalyticFunction(HyperRect.cube(1), (0,), {(0,): lambda x: x},
                              singular_points=((c,),))
-        (x,), (w,) = grid_quadrature(u.domain, rule_for(u, nodes=nodes))
+        (x,), (w,) = grid_quadrature(u.domain, rule_for(u, QuadratureRule(nodes=nodes)))
         assert np.all(np.diff(np.sort(x)) > 0)
         assert not np.any(x == c)
         assert np.all(w > 0)
@@ -165,7 +180,7 @@ class TestNorms:
 
     def test_zero_norm(self):
         dom = HyperRect.cube(1)
-        assert l2_error(lambda x: 0.0 * x, None, dom) == 0.0
+        assert l2_error(lambda x: 0.0 * x, None, dom, QuadratureRule()) == 0.0
 
     def test_normalized_legendre_unit_norm(self):
         dom = HyperRect.cube(1)
@@ -233,7 +248,9 @@ class TestDcNorm:
     def test_order_zero_is_l2(self):
         dom = HyperRect.cube(1)
         f = PiecewisePoly(dom, (np.array([]),), np.array([[-1.0, 1.0]]))
-        assert dc_error(f, None, (0,), dom) == pytest.approx(l2_error(f, None, dom), rel=1e-13)
+        rule = QuadratureRule()
+        assert dc_error(f, None, (0,), dom, rule) == \
+            pytest.approx(l2_error(f, None, dom, rule), rel=1e-13)
 
     def test_matches_bundle_norm_after_reconstruction(self):
         rng = np.random.default_rng(5)
@@ -252,3 +269,23 @@ class TestDcNorm:
         rule = rule_for(u)
         assert dc_error(u, zero, (5,), u.domain, rule) == \
             pytest.approx(dc_error(u, None, (5,), u.domain, rule), rel=1e-13)
+
+
+@pytest.mark.parametrize("name", [
+    "integrate", "l2_error", "sobolev_error", "dc_error", "term_at_point",
+    "sobolev_project_legendre", "sobolev_project_step"])
+def test_every_rule_reader_requires_a_rule(name):
+    # no flat fallback rule: a singular target would be integrated silently
+    # without its splits and grading
+    u = get_example("example1-1d")
+    calls = {
+        "integrate": lambda: integrate(u, u.domain),
+        "l2_error": lambda: l2_error(u, None, u.domain),
+        "sobolev_error": lambda: sobolev_error(u, None, (5,), u.domain),
+        "dc_error": lambda: dc_error(u, None, (5,), u.domain),
+        "term_at_point": lambda: term_at_point(u.boundary_trace((5,), (5,)), (0.5,)),
+        "sobolev_project_legendre": lambda: sobolev_project_legendre(u, (5,), (8,)),
+        "sobolev_project_step": lambda: sobolev_project_step(u, (5,), (8,)),
+    }
+    with pytest.raises(TypeError, match="'rule'"):
+        calls[name]()

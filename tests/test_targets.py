@@ -1,11 +1,29 @@
 import numpy as np
 import pytest
 
-from sobrecon.analytic import AnalyticFunction, finite_difference_error
-from sobrecon.core import active_axes, face_spec, multiindex_range
+from sobrecon.analytic import AnalyticFunction
+from sobrecon.core import active_axes, as_multiindex, face_spec, multiindex_range
 from sobrecon.projection import sobolev_project_legendre
 from sobrecon.quadrature import QuadratureRule
 from sobrecon.targets import available_examples, example1, example2, get_example, v_derivative
+
+
+def finite_difference_error(u: AnalyticFunction, alpha, axis: int, points,
+                            h: float = 1e-4) -> float:
+    """Max relative error of the central difference of D^alpha along `axis`
+    against the stored next-order evaluator, over the given points."""
+    alpha = as_multiindex(alpha, ndim=u.domain.ndim)
+    up = tuple(a + (1 if i == axis else 0) for i, a in enumerate(alpha))
+    lo_ev, hi_ev = u.derivatives[alpha], u.derivatives[up]
+    worst = 0.0
+    for p in points:
+        p = tuple(float(x) for x in p)
+        plus = tuple(x + h if i == axis else x for i, x in enumerate(p))
+        minus = tuple(x - h if i == axis else x for i, x in enumerate(p))
+        fd = (float(lo_ev(*plus)) - float(lo_ev(*minus))) / (2 * h)
+        exact = float(hi_ev(*p))
+        worst = max(worst, abs(fd - exact) / max(abs(exact), 1.0))
+    return worst
 
 
 class TestExample1:
