@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .core import as_multiindex, multiindex_range
+from .core import as_multiindex, leq, multiindex_range
 from .piecewise import PiecewisePoly
 from .projection import sobolev_project_legendre, sobolev_project_step
 from .quadrature import QuadratureRule, error_components, rule_for
@@ -75,12 +75,13 @@ def norm_rule(u: AnalyticFunction, approx, panels=None) -> QuadratureRule:
     `piece_degree`, (D^alpha (u - approx))^2 is a polynomial of degree at
     most 2 * max(deg u, deg approx) on each cell of the common refinement,
     so max(deg u, deg approx) + 1 Gauss nodes on each cell (`panels`
-    subdivides further) integrate it exactly up to rounding.  Other targets
+    subdivides further) integrate it exactly up to rounding; a rule takes
+    at least 2 nodes, so piecewise constants get 2.  Other targets
     get a flat 16-node rule on 32 (1-D) or 16 (otherwise) baseline panels
     per axis."""
     splits = approx.breaks if isinstance(approx, PiecewisePoly) else None
     if u.piece_degree is not None:
-        nodes = max(max(u.piece_degree), max(approx.degree)) + 1
+        nodes = max(max(u.piece_degree), max(approx.degree), 1) + 1
         base = QuadratureRule(nodes=nodes, panels=1 if panels is None else panels)
         return rule_for(u, base, extra_splits=splits)
     if panels is None:
@@ -124,7 +125,8 @@ def sweep_point(u: AnalyticFunction, method: str, gamma, param: int,
 def run_sweep(u: AnalyticFunction, method: str, gamma, params,
               nodes=None, panels=None) -> SweepResult:
     """Sweep the approximation parameter; point failures are recorded and
-    the sweep continues with NaN entries."""
+    the sweep continues with NaN entries.  A method, parameter list or
+    order that no point could run with is refused before any point runs."""
     gamma = as_multiindex(gamma, ndim=u.domain.ndim)
     params = [int(p) for p in params]
     if not params:
@@ -132,6 +134,8 @@ def run_sweep(u: AnalyticFunction, method: str, gamma, params,
     if any(b >= a for a, b in zip(params[1:], params[:-1])):
         raise ValueError("parameter values must increase strictly")
     check_sweep(method, params)
+    if not leq(gamma, u.delta):
+        raise ValueError(f"projection order {gamma} exceeds smoothness {u.delta}")
 
     result = SweepResult(params, [], [], [], [])
     for param in params:

@@ -7,6 +7,7 @@ subset of axes at the lower domain boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,28 @@ FaceSpec = tuple[int, ...]
 
 #: Subscript letters for the einsum specs built per axis elsewhere.
 EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+#: Distinct (spec, operand shapes) whose paths planned_einsum keeps: one
+#: fig3 pass plans 283, fig1 75, fig2 and fig4 under 15 each, so repeated
+#: figure passes plan nothing again.
+_EINSUM_PLANS = 1024
+
+
+@functools.lru_cache(maxsize=_EINSUM_PLANS)
+def _einsum_plan(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The greedy contraction path of `spec` on operands of these shapes
+    (read from zero-stride views, so nothing is allocated)."""
+    return tuple(np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes),
+                                optimize="greedy")[0])
+
+
+def planned_einsum(spec: str, *ops: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, *ops, optimize=True)`` with the contraction path
+    searched once per (spec, operand shapes) instead of on every call.  A
+    given path runs the same pairwise contractions as the search that found
+    it, so the result is the same to the last bit."""
+    return np.einsum(spec, *ops, optimize=_einsum_plan(spec, tuple(op.shape for op in ops)))
 
 
 def as_multiindex(alpha: Sequence[int] | int, ndim: int | None = None) -> MultiIndex:

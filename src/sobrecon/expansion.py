@@ -10,9 +10,19 @@ which for polynomial inputs reduces to repeated exact antidifferentiation.
 Trace functions are carried on the full domain, constant along their
 face-inactive axes (the constant extension the tensor operators act on), as
 PiecewisePoly values or as LegendreSeries on the standard hypercube.  Both
-supply the two calculus maps the operators need, multiply_kernel and
-antiderivative, so one reconstruction serves both representations.  The way
-back, extract_traces_poly, and the exact bundle norm take PiecewisePoly only.
+supply the two calculus maps the operators need, multiply_kernel and the
+a-fold antiderivative, so one reconstruction serves both representations.
+The way back, extract_traces_poly, and the exact bundle norm take
+PiecewisePoly only.
+
+Inputs are validated at the public boundary: apply_tensor checks its
+indices, and the PolyTraceBundle constructor its lattice, entry types and
+faces.  Internal paths pass normalized tuples and skip the re-validation.
+reconstruct's lift does not re-check the entries of an already validated
+bundle, and it applies an a-fold Volterra lift in one antiderivative(axis, a)
+call.  The bundles that extract_traces_poly, scaled and + build are valid
+by construction and skip the constructor's checks.
+
 Every function kind (PiecewisePoly, LegendreSeries, AnalyticFunction) also
 gives its traces one at a time through core.boundary_trace, as a
 TraceFunction(face, f, alpha) read with eval_grid: that is how dc_error
@@ -32,11 +42,11 @@ import numpy as np
 
 from . import quadrature
 from .core import (
+    FaceSpec,
     MultiIndex,
     TraceFunction,
     active_axes,
     as_multiindex,
-    face_spec,
     leq,
     multiindex_range,
 )
@@ -59,14 +69,25 @@ def apply_tensor(alpha, delta, f: Trace) -> Trace:
     delta = as_multiindex(delta, ndim=len(alpha))
     if not leq(alpha, delta):
         raise ValueError(f"alpha={alpha} is not <= delta={delta}")
-    out = f
+    return _lift(alpha, delta, f)
+
+
+def _lift(alpha: MultiIndex, delta: MultiIndex, f: Trace) -> Trace:
+    """apply_tensor on normalized indices with alpha <= delta, unchecked."""
     for axis, (a, d) in enumerate(zip(alpha, delta)):
         if a < d:
-            out = out.multiply_kernel(axis, a)
-        else:
-            for _ in range(a):
-                out = out.antiderivative(axis)
-    return out
+            f = f.multiply_kernel(axis, a)
+        elif a:
+            f = f.antiderivative(axis, a)
+    return f
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_faces(order: MultiIndex) -> tuple[tuple[MultiIndex, FaceSpec], ...]:
+    """(alpha, face_spec(alpha, order)) for every alpha <= order, in
+    multiindex_range order; `order` is normalized, so nothing is re-checked."""
+    return tuple((alpha, tuple(0 if a == d else -1 for a, d in zip(alpha, order)))
+                 for alpha in multiindex_range(order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,28 +107,35 @@ class PolyTraceBundle:
     def __post_init__(self):
         order = as_multiindex(self.order)
         object.__setattr__(self, "order", order)
-        lattice = multiindex_range(order)
+        faces = _lattice_faces(order)
         entries = dict(self.entries)
-        if set(entries) != set(lattice):
+        if set(entries) != {alpha for alpha, _ in faces}:
             raise ValueError("bundle entries do not cover the lattice 0 <= alpha <= order")
         kinds = {type(e).__name__ for e in entries.values()}
         if len(kinds) > 1:
             raise ValueError(f"bundle entries mix types: {', '.join(sorted(kinds))}")
-        domain = entries[lattice[0]].domain
+        domain = entries[faces[0][0]].domain
         if len(order) != domain.ndim:
             raise ValueError(f"order {order} has {len(order)} entries "
                              f"but the entries are {domain.ndim}-D")
-        for alpha in lattice:
+        for alpha, face in faces:
             e = entries[alpha]
             if e.domain != domain:
                 raise ValueError("bundle entries live on different domains")
-            face = face_spec(alpha, order)
             for i, b in enumerate(face):
                 if b < 0 and (e.cell_counts[i] > 1 or e.degree[i] > 0):
                     raise ValueError(
                         f"entry {alpha} varies along inactive axis {i} of face {face}"
                     )
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _make(cls, order: MultiIndex, entries: dict) -> "PolyTraceBundle":
+        """Unchecked constructor for bundles that are valid by construction:
+        `order` is normalized and `entries` a dict that covers its lattice."""
+        out = object.__new__(cls)
+        out.__dict__.update(order=order, entries=entries)
+        return out
 
     def norm(self) -> float:
         """Root-sum-of-squares of the face L2 norms of all traces, each
@@ -118,21 +146,20 @@ class PolyTraceBundle:
             raise ValueError(f"the exact bundle norm needs PiecewisePoly entries, "
                              f"got {kind.__name__}")
         total = 0.0
-        for alpha in multiindex_range(self.order):
-            face = face_spec(alpha, self.order)
+        for alpha, face in _lattice_faces(self.order):
             e = self.entries[alpha]
             total += e.inner(e, axes=active_axes(face))
         return math.sqrt(total)
 
     def scaled(self, factor: float) -> "PolyTraceBundle":
-        return PolyTraceBundle(
+        return PolyTraceBundle._make(
             self.order, {a: float(factor) * e for a, e in self.entries.items()}
         )
 
     def __add__(self, other: "PolyTraceBundle") -> "PolyTraceBundle":
         if self.order != other.order:
             raise ValueError("bundle orders differ")
-        return PolyTraceBundle(
+        return PolyTraceBundle._make(
             self.order, {a: e + other.entries[a] for a, e in self.entries.items()}
         )
 
@@ -145,7 +172,7 @@ def reconstruct(bundle: PolyTraceBundle) -> Trace:
     once (see sum_terms), instead of refining a running total per term.
     """
     lattice = multiindex_range(bundle.order)
-    terms = (apply_tensor(alpha, bundle.order, bundle.entries[alpha]) for alpha in lattice)
+    terms = (_lift(alpha, bundle.order, bundle.entries[alpha]) for alpha in lattice)
     if isinstance(bundle.entries[lattice[0]], LegendreSeries):
         return functools.reduce(operator.add, terms)
     return sum_terms(terms)
@@ -181,11 +208,13 @@ def extract_traces_poly(u: PiecewisePoly, delta) -> PolyTraceBundle:
     check_membership)."""
     delta = as_multiindex(delta, ndim=u.ndim)
     check_membership(u, delta)
-    entries = {
-        alpha: u.mixed_derivative(alpha).restrict(face_spec(alpha, delta))
-        for alpha in multiindex_range(delta)
-    }
-    return PolyTraceBundle(delta, entries)
+    entries = {}
+    for alpha, face in _lattice_faces(delta):
+        d = u
+        for axis, a in enumerate(alpha):  # mixed_derivative, alpha already normalized
+            d = d.derivative(axis, a)
+        entries[alpha] = d.restrict(face)
+    return PolyTraceBundle._make(delta, entries)
 
 
 def fund_int_pair(k: int, top: int, v: PiecewisePoly):

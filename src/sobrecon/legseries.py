@@ -26,6 +26,7 @@ from .core import (
     TraceFunction,
     as_multiindex,
     boundary_trace,
+    planned_einsum,
 )
 
 
@@ -149,7 +150,7 @@ class LegendreSeries:
         for alpha in indices:
             coeffs = self.mixed_derivative(alpha).coeffs
             rows = [t[:n] for t, n in zip(tables, coeffs.shape)]
-            yield np.einsum(spec, coeffs, *rows, optimize=True)
+            yield planned_einsum(spec, coeffs, *rows)
 
     def eval_grid(self, axes) -> np.ndarray:
         return next(self.derivative_grids([(0,) * self.ndim], axes))
@@ -167,15 +168,20 @@ class LegendreSeries:
         for i in range(self.ndim):
             ops.append(legendre_values(self.degree[i], flat[i]))  # (d+1, M)
             subs.append(EINSUM_LETTERS[i] + "z")
-        val = np.einsum(",".join(subs) + "->z", *ops, optimize=True)
+        val = planned_einsum(",".join(subs) + "->z", *ops)
         return val.reshape(shape) if shape else float(val[0])
 
     # --------------------------------------------------------------- calculus
 
-    def antiderivative(self, axis: int) -> "LegendreSeries":
-        """Integration from the lower boundary -1 along one axis."""
-        n = self.coeffs.shape[axis]
-        return LegendreSeries(_apply_axis(self.coeffs, _antiderivative_matrix(n), axis))
+    def antiderivative(self, axis: int, times: int = 1) -> "LegendreSeries":
+        """`times`-fold integration from the lower boundary -1 along one axis."""
+        if times < 1:
+            raise ValueError(f"need at least one fold, got times={times}")
+        out = self
+        for _ in range(times):
+            n = out.coeffs.shape[axis]
+            out = LegendreSeries(_apply_axis(out.coeffs, _antiderivative_matrix(n), axis))
+        return out
 
     def derivative(self, axis: int, order: int = 1) -> "LegendreSeries":
         if order < 0:

@@ -20,7 +20,9 @@ derivative order it is asked for.
 
 The public constructor validates breaks and coefficient shapes.  Results of
 operations on valid polynomials are valid by construction and skip that
-check: they are built through ``PiecewisePoly._make``.
+check: they are built through ``PiecewisePoly._make``.  Either way the
+shape facts ``ndim``, ``cell_counts`` and ``degree`` are computed once, when
+the polynomial is built, and stored as plain attributes.
 """
 
 from __future__ import annotations
@@ -40,14 +42,15 @@ from .core import (
     TraceFunction,
     as_multiindex,
     boundary_trace,
+    planned_einsum,
 )
 from .quadrature import axis_quadrature
 
 
-def _powers(z, degree: int) -> np.ndarray:
-    """Rows of z^k/k! for k = 0..degree, shape (len(z), degree+1)."""
-    z = np.atleast_1d(np.asarray(z, float))
-    out = np.empty((z.size, degree + 1))
+def _powers(z: np.ndarray, degree: int) -> np.ndarray:
+    """Rows of z^k/k! for k = 0..degree of a 1-D float array z, shape
+    (len(z), degree+1)."""
+    out = np.empty((len(z), degree + 1))
     out[:, 0] = 1.0
     for k in range(1, degree + 1):
         out[:, k] = out[:, k - 1] * z / k
@@ -61,8 +64,23 @@ def _shift_matrices(h: np.ndarray, degree: int) -> np.ndarray:
     In the scaled-monomial basis the new coefficients are the derivatives at
     the new anchor, b_p = sum_k a_k h^(k-p)/(k-p)!.
     """
+    mask, lag = _shift_lags(degree)
+    return np.where(mask, _powers(h, degree)[:, lag], 0.0)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, with writing turned off: the lru_cache tables below are
+    shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_lags(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where k - p >= 0, and max(k - p, 0), for p, k = 0..degree (shared, read-only)."""
     lag = np.subtract.outer(np.arange(degree + 1), np.arange(degree + 1)).T  # k - p
-    return np.where(lag >= 0, _powers(h, degree)[:, np.maximum(lag, 0)], 0.0)
+    return _read_only(lag >= 0, np.maximum(lag, 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,15 +91,41 @@ def _binomials(n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_lags(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a degree-d piece times the kernel z^k/k!: where 0 <= q - m <= k,
+    clip(q - m, 0, k), and binom(q, m), for q = 0..d+k and m = 0..d (shared,
+    read-only)."""
+    lag = np.subtract.outer(np.arange(d + k + 1), np.arange(d + 1))  # q - m
+    return _read_only((lag >= 0) & (lag <= k), np.clip(lag, 0, k), _binomials(d + k)[:, :d + 1])
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_axes(nd: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order that brings the cell and degree axes of `axis` to the
+    front of an N-D coefficient array (the view that
+    ``np.moveaxis(coeffs, (axis, nd + axis), (0, 1))`` gives), and its inverse."""
+    front = (axis, nd + axis)
+    perm = front + tuple(k for k in range(2 * nd) if k not in front)
+    return perm, tuple(perm.index(k) for k in range(2 * nd))
+
+
 def _cellwise(coeffs: np.ndarray, axis: int, mats: np.ndarray) -> np.ndarray:
     """Apply mats[c] to the axis-`axis` coefficient vector of every cell c
     along that axis (coeffs has one cell row per matrix).  einsum's summation
     order depends on the operands' memory layout, so mats is made C-ordered
     to keep results independent of how it was built."""
-    nd = coeffs.ndim // 2
-    arr = np.moveaxis(coeffs, (axis, nd + axis), (0, 1))
-    out = np.einsum("cpk,ck...->cp...", np.ascontiguousarray(mats), arr)
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (axis, nd + axis)))
+    perm, inverse = _cell_axes(coeffs.ndim // 2, axis)
+    out = np.einsum("cpk,ck...->cp...", np.ascontiguousarray(mats), coeffs.transpose(perm))
+    return np.ascontiguousarray(out.transpose(inverse))
+
+
+def _shape_facts(nd: int, coeffs: np.ndarray) -> dict:
+    """``ndim``, ``cell_counts`` and ``degree`` of an N-D polynomial with
+    these coefficients, stored by both constructors as plain attributes (not
+    dataclass fields); no operation changes the shape of ``coeffs`` later."""
+    shape = coeffs.shape
+    return {"ndim": nd, "cell_counts": shape[:nd], "degree": tuple([s - 1 for s in shape[nd:]])}
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,6 +146,8 @@ class PiecewisePoly:
     i; ``coeffs`` has shape (cells_1, ..., cells_N, deg_1+1, ..., deg_N+1).
     Evaluation uses the half-open cell convention (last cell closed); pieces
     are not required to match across breaks, so step functions are members.
+    ``ndim``, ``cell_counts`` (cells per axis) and ``degree`` (per axis) are
+    plain attributes set when the polynomial is built.
     """
 
     domain: HyperRect
@@ -125,6 +171,7 @@ class PiecewisePoly:
                 raise ValueError(f"axis {i}: {coeffs.shape[i]} cell rows for {b.size} breaks")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__.update(_shape_facts(nd, coeffs))
 
     @classmethod
     def _make(cls, domain: HyperRect, breaks: tuple[np.ndarray, ...],
@@ -133,22 +180,11 @@ class PiecewisePoly:
         polynomials: ``breaks`` are float arrays and ``coeffs`` a float array
         of matching shape, so nothing is converted or validated."""
         out = object.__new__(cls)
-        out.__dict__.update(domain=domain, breaks=breaks, coeffs=coeffs)
+        out.__dict__.update(domain=domain, breaks=breaks, coeffs=coeffs,
+                            **_shape_facts(domain.ndim, coeffs))
         return out
 
     # ------------------------------------------------------------------ shape
-
-    @property
-    def ndim(self) -> int:
-        return self.domain.ndim
-
-    @property
-    def cell_counts(self) -> MultiIndex:
-        return self.coeffs.shape[: self.ndim]
-
-    @property
-    def degree(self) -> MultiIndex:
-        return tuple(s - 1 for s in self.coeffs.shape[self.ndim:])
 
     def edges(self, axis: int) -> np.ndarray:
         return np.concatenate(
@@ -267,18 +303,32 @@ class PiecewisePoly:
     def derivative_grid(self, alpha, axes) -> np.ndarray:
         return next(self.derivative_grids([alpha], axes))
 
-    def antiderivative(self, axis: int) -> "PiecewisePoly":
-        """Antiderivative vanishing at the lower boundary, continuous across breaks."""
-        dax = self.ndim + axis
+    def antiderivative(self, axis: int, times: int = 1) -> "PiecewisePoly":
+        """The `times`-fold antiderivative along one axis: each fold vanishes
+        at the lower boundary and is continuous across breaks.
+
+        The folds share one table of width powers.  Each fold's array is
+        allocated in the original axis order and written through a
+        transposed view, as a single fold is, so the result has the same bits
+        as `times` successive single folds (einsum's summation order follows
+        the operands' memory layout).
+        """
+        if times < 1:
+            raise ValueError(f"need at least one fold, got times={times}")
+        perm = _cell_axes(self.ndim, axis)[0]
+        d = self.degree[axis]
+        powers = _powers(np.diff(self.edges(axis)), d + times)
         shape = list(self.coeffs.shape)
-        shape[dax] += 1
-        b = np.zeros(shape)
-        arr = np.moveaxis(b, (axis, dax), (0, 1))  # (cells, deg+2, ...)
-        arr[:, 1:] = np.moveaxis(self.coeffs, (axis, dax), (0, 1))
-        widths = np.diff(self.edges(axis))
-        vals = np.einsum("ck,ck...->c...", _powers(widths, self.degree[axis] + 1), arr)
-        offsets = np.cumsum(vals, axis=0)
-        arr[1:, 0, ...] += offsets[:-1]
+        prev = self.coeffs.transpose(perm)
+        for fold in range(times):
+            shape[self.ndim + axis] += 1
+            b = np.zeros(shape)
+            arr = b.transpose(perm)  # (cells, deg+2, ...)
+            arr[:, 1:] = prev
+            vals = np.einsum("ck,ck...->c...", powers[:, :d + fold + 2], arr)
+            offsets = np.cumsum(vals, axis=0)
+            arr[1:, 0, ...] += offsets[:-1]
+            prev = arr
         return PiecewisePoly._make(self.domain, self.breaks, b)
 
     def multiply_kernel(self, axis: int, k: int) -> "PiecewisePoly":
@@ -292,17 +342,15 @@ class PiecewisePoly:
         """
         if k == 0:
             return self
-        d = self.degree[axis]
         kern = _powers(self.edges(axis)[:-1] - self.domain.lo[axis], k)[:, ::-1]
-        lag = np.subtract.outer(np.arange(d + k + 1), np.arange(d + 1))  # q - m
-        conv = np.where((lag >= 0) & (lag <= k),
-                        _binomials(d + k)[:, :d + 1] * kern[:, np.clip(lag, 0, k)], 0.0)
+        mask, lag, binomials = _kernel_lags(self.degree[axis], k)
+        conv = np.where(mask, binomials * kern[:, lag], 0.0)
         return PiecewisePoly._make(self.domain, self.breaks, _cellwise(self.coeffs, axis, conv))
 
     def break_jumps(self, axis: int) -> np.ndarray:
         """Largest coefficient jump across each interior break of one axis,
         comparing the left piece's value at the break with the right piece's."""
-        arr = np.moveaxis(self.coeffs, (axis, self.ndim + axis), (0, 1))
+        arr = self.coeffs.transpose(_cell_axes(self.ndim, axis)[0])
         widths = np.diff(self.edges(axis))
         left = np.einsum("ck,ck...->c...", _powers(widths, self.degree[axis]), arr)[:-1]
         right = arr[1:, 0, ...]
@@ -323,7 +371,7 @@ class PiecewisePoly:
             else:
                 self._check_constant(i, "to stay out of the integral")
                 out += letters[i] + letters[nd + i]
-        res = np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
+        res = planned_einsum(",".join(subs) + "->" + out, *ops)
         return float(np.squeeze(res))
 
     def _check_constant(self, axis: int, why: str):
@@ -367,7 +415,7 @@ class PiecewisePoly:
         fx = self.eval_grid(xs)
         vals = fx * (fx if other is self else other.eval_grid(xs))
         nodes = EINSUM_LETTERS[:self.ndim]
-        return float(np.einsum(",".join([nodes, *nodes]) + "->", vals, *ws, optimize=True))
+        return float(planned_einsum(",".join([nodes, *nodes]) + "->", vals, *ws))
 
     # -------------------------------------------------------------- arithmetic
 
@@ -453,11 +501,13 @@ def _zeros(domain: HyperRect, breaks: tuple[np.ndarray, ...],
 def _accumulate(total: PiecewisePoly, terms: Iterable[PiecewisePoly]) -> PiecewisePoly:
     """Add each term, re-expressed on total's break grid, into total's
     coefficients in place; returns total.  Every term's breaks must be among
-    total's and its degree at most total's."""
+    total's and its degree at most total's, so a term with as many breaks as
+    total on an axis already has total's grid there and is not refined."""
     nd = total.ndim
     for t in terms:
         for i in range(nd):
-            t = t._refine_axis(i, total.breaks[i])
+            if t.breaks[i].size != total.breaks[i].size:
+                t = t._refine_axis(i, total.breaks[i])
         total.coeffs[(slice(None),) * nd + tuple(slice(0, d + 1) for d in t.degree)] += t.coeffs
     return total
 

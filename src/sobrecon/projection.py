@@ -20,7 +20,15 @@ import math
 import numpy as np
 
 from .analytic import AnalyticFunction
-from .core import EINSUM_LETTERS, HyperRect, MultiIndex, as_multiindex, leq, multiindex_range
+from .core import (
+    EINSUM_LETTERS,
+    HyperRect,
+    MultiIndex,
+    as_multiindex,
+    leq,
+    multiindex_range,
+    planned_einsum,
+)
 from .expansion import PolyTraceBundle, reconstruct
 from .legseries import LegendreSeries, legendre_values
 from .piecewise import PiecewisePoly
@@ -41,7 +49,7 @@ def _grid_coefficients(f, tables, axes) -> np.ndarray:
     for i, table in enumerate(tables):
         ops.append(table)
         subs.append(out[i] + EINSUM_LETTERS[i])
-    return np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
+    return planned_einsum(",".join(subs) + "->" + out, *ops)
 
 
 def _legendre_from_grid(f, degree: MultiIndex, axes, weights) -> LegendreSeries:

@@ -124,6 +124,13 @@ def axis_quadrature(lo: float, hi: float, splits, grading: AxisGrading | None,
     8 ulp(c) / (1 - largest Gauss node) are dropped, so every node of the
     innermost panel [c, c + h] sits at least 4 ulps from c and no two panel
     edges round to the same float; at c = 0 every level is kept.
+
+    A segment that does not touch c is graded the same way toward its end
+    nearer to c, keeping only the offsets that are at least that end's
+    distance from c (and above the same floor): a split next to c then
+    leaves no uniform panel beside the singularity.  A segment farther from
+    c than r times its own length keeps only the whole-segment level and is
+    subdivided uniformly.
     """
     if hi <= lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -137,12 +144,17 @@ def axis_quadrature(lo: float, hi: float, splits, grading: AxisGrading | None,
 
     panel_edges = []
     for a, b in zip(edges[:-1], edges[1:]):
-        if center is not None and (a == center or b == center):
+        graded = False
+        if center is not None:
+            near = a if a >= center else b  # c is a cut, so it is never inside
             offsets = (b - a) * grading.ratio ** np.arange(grading.panels - 1, -1, -1.0)
-            keep = offsets >= 8.0 * np.spacing(abs(center)) / (1.0 - ref_x[-1])  # h_min
+            h_min = 8.0 * np.spacing(abs(center)) / (1.0 - ref_x[-1])
+            keep = offsets >= max(abs(near - center), h_min)
             keep[-1] = True  # the whole segment, even a split within h_min of c
+            graded = near == center or keep.sum() > 1
+        if graded:
             offsets = np.concatenate(([0.0], offsets[keep]))
-            sub = a + offsets if a == center else b - offsets[::-1]
+            sub = a + offsets if near == a else b - offsets[::-1]
             sub[0], sub[-1] = a, b
         else:
             n = max(1, round(panels * (b - a) / (hi - lo)))

@@ -15,6 +15,7 @@ from sobrecon.bench import (
     sweep_point,
 )
 from sobrecon.core import HyperRect, multiindex_range
+from sobrecon.piecewise import PiecewisePoly
 from sobrecon.projection import cell_edges
 from sobrecon.quadrature import QuadratureRule, error_components, grid_quadrature, rule_for
 from sobrecon.targets import get_example
@@ -93,11 +94,31 @@ class TestSweep:
         u = get_example("example1-1d")
         r = run_sweep(u, "step", (0,), [2, 4, 8])
         assert not r.failures
-        # an order above the target's smoothness fails inside every point
-        bad = run_sweep(u, "step", (6,), [2, 4])
+        # a target whose evaluator raises fails inside every point
+        def broken(x):
+            raise ValueError("evaluator failed")
+        bad = run_sweep(dataclasses.replace(u, derivatives={(k,): broken for k in range(6)}),
+                        "step", (0,), [2, 4])
         assert len(bad.failures) == 2
         assert all(math.isnan(v) for v in bad.l2)
         assert all(msg.startswith("ValueError: ") for _, msg in bad.failures)
+
+    def test_order_above_smoothness_refused_before_any_point(self):
+        # no point could run, so the sweep refuses instead of recording
+        # one failure per point
+        with pytest.raises(ValueError, match=r"projection order \(6,\) exceeds smoothness"):
+            run_sweep(get_example("example1-1d"), "step", (6,), [2, 4])
+
+    def test_piecewise_constant_target_gets_a_two_node_rule(self):
+        # deg u = deg approx = 0 would ask for a 1-node rule, which no
+        # QuadratureRule takes; 2 nodes integrate the constants exactly
+        pw = PiecewisePoly.from_cell_values(HyperRect.cube(1), [[0.0]], [1.0, -2.0])
+        u = AnalyticFunction(HyperRect.cube(1), (0,), {(0,): pw},
+                             breakpoints=((0.0,),), piece_degree=(0,))
+        r = run_sweep(u, "step", (0,), [1, 2, 4])
+        assert not r.failures
+        assert r.l2[0] == pytest.approx(math.sqrt(4.5))
+        assert r.l2[1] <= 1e-15 and r.l2[2] <= 1e-15
 
     @pytest.mark.parametrize("method, params, match", [
         ("bogus-method", [2, 4], "unknown method"),

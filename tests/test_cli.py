@@ -146,6 +146,17 @@ class TestReproduceCommand:
         assert "param=" not in out and "failed" not in out
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("gamma", ["6", "4,6"])
+    def test_order_above_smoothness_exits_2(self, gamma, tmp_path, capsys):
+        example = "example1-1d" if "," not in gamma else "example2-2d"
+        code = main(["sweep", "--example", example, "--method", "step", "--gamma", gamma,
+                     "--cells", "2,4,8", "--out", str(tmp_path / "results")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: ") and "exceeds smoothness" in err
+        assert "param=" not in out and "failed" not in out
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("flag", ["--quad-nodes", "--quad-panels"])
     def test_expand_refuses_zero_quadrature_size(self, flag, capsys):
         code = main(["expand", "--example", "example1-1d", "--point", "0.5", flag, "0"])

@@ -19,7 +19,12 @@ from sobrecon.legseries import LegendreSeries
 from sobrecon.piecewise import PiecewisePoly, coeff_distance
 from sobrecon.projection import sobolev_project_legendre
 from sobrecon.quadrature import QuadratureRule
-from sobrecon.verify import random_domain, random_tensor_poly, random_trace_bundle
+from sobrecon.verify import (
+    ROUNDTRIP_CONFIGS,
+    random_domain,
+    random_tensor_poly,
+    random_trace_bundle,
+)
 
 
 def legendre_series(p: PiecewisePoly, nodes: int) -> LegendreSeries:
@@ -162,6 +167,50 @@ class TestBundleTypes:
         square = PiecewisePoly.constant(HyperRect.cube(2), 1.0)
         with pytest.raises(ValueError, match=r"order \(1,\) has 1 entries but the entries are 2-D"):
             PolyTraceBundle((1,), {(0,): square, (1,): square})
+
+
+class TestUncheckedBundles:
+    # extract_traces_poly, scaled and + build their bundles without the
+    # constructor's checks; rebuilt through it, each must pass
+    def test_pass_the_public_validation(self):
+        rng = np.random.default_rng(5)
+        for ndim, delta in ROUNDTRIP_CONFIGS:
+            dom = random_domain(rng, ndim)
+            bundle = random_trace_bundle(rng, delta, dom)
+            u = random_tensor_poly(rng, dom, tuple(d + 2 for d in delta))
+            for built in (extract_traces_poly(u, delta), bundle.scaled(-1.5),
+                          bundle + bundle.scaled(0.5)):
+                again = PolyTraceBundle(built.order, built.entries)
+                assert type(built.order) is tuple and built.order == again.order
+                assert type(built.entries) is dict and built.entries == again.entries
+
+
+def _square_bundle_entries(bad_axis0: bool):
+    dom = HyperRect.cube(2)
+    entries = {a: PiecewisePoly.constant(dom, 0.0) for a in multiindex_range((1, 0))}
+    if bad_axis0:
+        entries[(0, 0)] = PiecewisePoly.kernel(dom, 0, 1)  # face (-1, 0): axis 0 inactive
+    return entries
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: apply_tensor((2, 0), (1, 1), PiecewisePoly.constant(HyperRect.cube(2), 1.0)),
+     r"alpha=\(2, 0\) is not <= delta=\(1, 1\)"),
+    (lambda: PolyTraceBundle((1, 1), _square_bundle_entries(False)),
+     "do not cover the lattice"),
+    (lambda: PolyTraceBundle((1,), {(0,): PiecewisePoly.constant(HyperRect.cube(1), 1.0),
+                                    (1,): LegendreSeries(np.ones(1))}),
+     "mix types"),
+    (lambda: PolyTraceBundle((1, 0), _square_bundle_entries(True)), "inactive axis 0"),
+    (lambda: PiecewisePoly(HyperRect.cube(1), (np.array([0.5, 0.0]),), np.zeros((3, 2))),
+     "must increase strictly"),
+    (lambda: PiecewisePoly(HyperRect.cube(1), (np.array([0.0]),), np.zeros((3, 2))),
+     "3 cell rows for 1 breaks"),
+], ids=["apply_tensor-alpha", "bundle-lattice", "bundle-types", "bundle-inactive-axis",
+        "poly-breaks", "poly-coeff-shape"])
+def test_public_refusals_still_raise(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 class TestExtract:

@@ -1,7 +1,8 @@
 """No sobrecon module reaches into another module's `_`-prefixed names, only
 `core` builds TraceFunction values, no function keeps a local it never
 reads, no module imports a name it never reads, no function falls back to
-a default quadrature rule, and every name in `sobrecon.__all__` exists.
+a default quadrature rule, no einsum searches a contraction path on every
+call, and every name in `sobrecon.__all__` exists.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -264,6 +265,40 @@ def test_defaulted_rule_detector():
     )
     assert defaulted_rules(source) == [
         "a: rule=None (line 1)", "b: rule=None (line 3)", "rule_for: nodes, panels (line 9)"]
+
+
+def unplanned_einsums(source: str) -> list[int]:
+    """Lines of `source` that call einsum with a path search (optimize=True
+    or a named search such as "greedy"), which core.planned_einsum does
+    once per operand shapes instead of on every call."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "einsum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and any(kw.arg == "optimize" and isinstance(kw.value, ast.Constant)
+                and (kw.value.value is True or isinstance(kw.value.value, str))
+                for kw in node.keywords)
+    )
+
+
+def test_no_unplanned_einsum():
+    offenders = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+                 if (lines := unplanned_einsums(path.read_text()))}
+    assert not offenders, offenders
+
+
+def test_unplanned_einsum_detector():
+    source = (
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "np.einsum('ij->', a, optimize=True)\n"
+        "einsum('i,i->', a, b, optimize='greedy')\n"
+        "np.einsum('ij->', a)\n"
+        "np.einsum('ij,jk->ik', a, b, optimize=path)\n"
+        "np.einsum_path('ij,jk->ik', a, b, optimize='greedy')\n"
+        "np.einsum('i->', a, optimize=False)\n"
+    )
+    assert unplanned_einsums(source) == [3, 4]
 
 
 def test_all_exports_resolve():

@@ -159,6 +159,25 @@ class TestCalculus:
             assert F(x) == pytest.approx(x - 1, rel=1e-12, abs=1e-12)
         assert F(0.0) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("times", [1, 2, 3, 4])
+    def test_multi_fold_antiderivative_equals_single_folds_bitwise(self, ndim, times):
+        rng = np.random.default_rng(10 * ndim + times)
+        f = random_poly(rng, ndim, degree=tuple(int(d) for d in rng.integers(0, 4, ndim)),
+                        n_breaks=tuple(int(n) for n in rng.integers(1, 3, ndim)))
+        for axis in range(ndim):
+            folds = f
+            for _ in range(times):
+                folds = folds.antiderivative(axis)
+            once = f.antiderivative(axis, times)
+            assert np.array_equal(once.coeffs, folds.coeffs)
+            assert once.coeffs.flags.c_contiguous
+            assert once.degree == folds.degree and once.cell_counts == folds.cell_counts
+
+    def test_antiderivative_needs_a_fold(self):
+        with pytest.raises(ValueError, match="at least one fold"):
+            two_cell_step().antiderivative(0, 0)
+
     def test_derivative_inverts_antiderivative(self):
         rng = np.random.default_rng(7)
         for trial in range(5):

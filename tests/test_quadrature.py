@@ -164,6 +164,24 @@ class TestAxisQuadrature:
         exact = 2.0 * (np.sqrt(1.0 - c) + np.sqrt(1.0 + c))
         assert integrate(f, u.domain, rule_for(u)) == pytest.approx(exact, rel=1e-7)
 
+    @pytest.mark.parametrize("offset", [1e-14, -1e-14, 1e-3])
+    def test_breakpoint_beside_singular_point_keeps_the_grading(self, offset):
+        # the segment beyond a split next to c is graded toward c too,
+        # instead of getting uniform panels beside the singularity
+        c = 0.3
+        f = lambda x: np.abs(x - c) ** -0.5
+        u = AnalyticFunction(HyperRect.cube(1), (0,), {(0,): f},
+                             breakpoints=((c + offset,),), singular_points=((c,),))
+        exact = 2.0 * (np.sqrt(1.0 - c) + np.sqrt(1.0 + c))
+        assert integrate(f, u.domain, rule_for(u)) == pytest.approx(exact, rel=1e-7)
+
+    def test_segment_far_from_center_stays_uniform(self):
+        # [0.5, 1] lies farther from c = 0 than r times its length: one
+        # uniform panel, as without grading
+        x, _ = axis_quadrature(-1.0, 1.0, (0.0, 0.5), AxisGrading(0.0), nodes=2, panels=4)
+        ref, _ = axis_quadrature(0.5, 1.0, (), None, nodes=2, panels=1)
+        np.testing.assert_array_equal(x[x > 0.5], ref)
+
     def test_second_singular_point_on_an_axis_is_refused(self):
         # rule_for grades each axis toward one center; a second point would
         # silently get ungraded panels
