@@ -173,20 +173,38 @@ def fit_slope(result: SweepResult, norm: str = "l2", window=None) -> float:
 
 # ------------------------------------------------------------ figure presets
 
+#: Each figure's sweep and what its criteria read: the slope fits use the
+#: parameters in `window`, fig4's exact-recovery lines the point `exact_at`.
 FIGURES = {
     "fig1": dict(example="example1-1d", method="legendre",
                  gammas=[(0,), (1,), (3,), (5,)],
-                 params=[2, 4, 8, 16, 32, 64, 128, 256]),
+                 params=[2, 4, 8, 16, 32, 64, 128, 256], window=(16, 256)),
     "fig2": dict(example="example1-1d", method="step",
                  gammas=[(0,), (1,), (3,), (5,)],
-                 params=[2, 4, 8, 16, 32, 64, 128, 256]),
+                 params=[2, 4, 8, 16, 32, 64, 128, 256], window=(16, 256)),
     "fig3": dict(example="example2-2d", method="legendre",
                  gammas=[(0, 0), (1, 1), (2, 2), (3, 3)],
-                 params=[2, 4, 8, 16, 32]),
+                 params=[2, 4, 8, 16, 32], window=(2, 32)),
     "fig4": dict(example="example2-2d", method="step",
                  gammas=[(0, 0), (1, 1), (2, 2), (3, 3)],
-                 params=[2, 4, 8, 16, 32, 64]),
+                 params=[2, 4, 8, 16, 32, 64], exact_at=4),
 }
+
+
+def check_figure_params(figure: str, params):
+    """Refuse a parameter list the figure's criteria cannot be read from:
+    fewer than three parameters in a slope window, or no exact-recovery
+    point, so that the refusal comes before any point runs."""
+    preset = FIGURES[figure]
+    if "window" in preset:
+        lo, hi = preset["window"]
+        inside = [p for p in params if lo <= p <= hi]
+        if len(inside) < 3:
+            raise ValueError(f"{figure}'s slope criteria fit the parameters in "
+                             f"[{lo}, {hi}] and need at least 3 there, got {inside}")
+    if "exact_at" in preset and preset["exact_at"] not in params:
+        raise ValueError(f"{figure}'s exact-recovery criteria read K={preset['exact_at']}, "
+                         f"which {list(params)} does not contain")
 
 
 def _slope_check(name, result, norm, window, target, tol) -> CheckResult:
@@ -205,9 +223,11 @@ def _ratio_check(name, result, norm, decreasing: bool) -> CheckResult:
 
 def figure_criteria(figure: str, sweeps: dict) -> list[CheckResult]:
     """Pass/fail lines for one figure's sweeps (keyed by gamma)."""
+    if figure not in FIGURES:
+        raise ValueError(f"unknown figure {figure!r}; have {sorted(FIGURES)}")
+    window = FIGURES[figure].get("window")
     out = []
     if figure == "fig1":
-        window = (16, 256)
         for g in ((0,), (5,)):
             out.append(_slope_check(f"fig1 L2 slope gamma={g[0]}", sweeps[g],
                                     "l2", window, -5.0, 0.5))
@@ -216,7 +236,6 @@ def figure_criteria(figure: str, sweeps: dict) -> list[CheckResult]:
         out.append(_ratio_check("fig1 S non-decreasing gamma=0", sweeps[(0,)],
                                 "s", decreasing=False))
     elif figure == "fig2":
-        window = (16, 256)
         out.append(_slope_check("fig2 L2 slope gamma=0", sweeps[(0,)],
                                 "l2", window, -1.0, 0.3))
         for g in ((1,), (3,), (5,)):
@@ -228,7 +247,6 @@ def figure_criteria(figure: str, sweeps: dict) -> list[CheckResult]:
             out.append(_ratio_check(f"fig2 S non-decreasing gamma={g[0]}", sweeps[g],
                                     "s", decreasing=False))
     elif figure == "fig3":
-        window = (2, 32)
         for g in ((0, 0), (1, 1), (2, 2), (3, 3)):
             out.append(_slope_check(f"fig3 L2 slope gamma={g}", sweeps[g],
                                     "l2", window, -3.0, 0.6))
@@ -238,14 +256,13 @@ def figure_criteria(figure: str, sweeps: dict) -> list[CheckResult]:
         for g in ((0, 0), (1, 1)):
             out.append(_ratio_check(f"fig3 S non-decreasing gamma={g}", sweeps[g],
                                     "s", decreasing=False))
-    elif figure == "fig4":
+    else:  # fig4
+        k = FIGURES[figure]["exact_at"]
         result = sweeps[(3, 3)]
-        idx = result.params.index(4)
+        idx = result.params.index(k)
         l2, s = result.l2[idx], result.s[idx]
-        out.append(CheckResult("fig4 exact recovery at K=4 (L2)", l2 <= 1e-12,
+        out.append(CheckResult(f"fig4 exact recovery at K={k} (L2)", l2 <= 1e-12,
                                f"error {l2:.2e}, want <= 1e-12"))
-        out.append(CheckResult("fig4 exact recovery at K=4 (S)", s <= 1e-12,
+        out.append(CheckResult(f"fig4 exact recovery at K={k} (S)", s <= 1e-12,
                                f"error {s:.2e}, want <= 1e-12"))
-    else:
-        raise ValueError(f"unknown figure {figure!r}; have {sorted(FIGURES)}")
     return out

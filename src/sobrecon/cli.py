@@ -75,6 +75,7 @@ def cmd_reproduce(args) -> int:
     u = get_example(preset["example"])
     params = _sweep_params(args, preset["method"], preset["params"])
     quad = _quad_kwargs(args)
+    bench.check_figure_params(figure, params)
     os.makedirs(args.out, exist_ok=True)
 
     sweeps = {}

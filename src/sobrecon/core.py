@@ -1,13 +1,14 @@
 """Multi-index lattices, hyperrectangles, and boundary-face geometry.
 
 The basic vocabulary shared by every other module: componentwise-ordered
-integer multi-indices, axis-aligned boxes, and face selectors that pin a
-subset of axes at the lower domain boundary.
+integer multi-indices, axis-aligned boxes, face selectors that pin a
+subset of axes at the lower domain boundary, and ``contract_axes``, the one
+per-axis contraction of a tensor grid that every basis projection, grid
+evaluation and tensor-product quadrature runs through.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,30 +22,18 @@ MultiIndex = tuple[int, ...]
 #: -1 for an axis pinned at its lower endpoint.
 FaceSpec = tuple[int, ...]
 
-#: Subscript letters for the einsum specs built per axis elsewhere.
-EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+def contract_axes(grid: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract axis i of a tensor grid with tables[i], for every axis: an
+    (n_i, m_i) table leaves an axis of m_i entries in place i, an (n_i,)
+    weight vector sums axis i away.
 
-#: Distinct (spec, operand shapes) whose paths planned_einsum keeps: one
-#: fig3 pass plans 283, fig1 75, fig2 and fig4 under 15 each, so repeated
-#: figure passes plan nothing again.
-_EINSUM_PLANS = 1024
-
-
-@functools.lru_cache(maxsize=_EINSUM_PLANS)
-def _einsum_plan(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """The greedy contraction path of `spec` on operands of these shapes
-    (read from zero-stride views, so nothing is allocated)."""
-    return tuple(np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes),
-                                optimize="greedy")[0])
-
-
-def planned_einsum(spec: str, *ops: np.ndarray) -> np.ndarray:
-    """``np.einsum(spec, *ops, optimize=True)`` with the contraction path
-    searched once per (spec, operand shapes) instead of on every call.  A
-    given path runs the same pairwise contractions as the search that found
-    it, so the result is the same to the last bit."""
-    return np.einsum(spec, *ops, optimize=_einsum_plan(spec, tuple(op.shape for op in ops)))
+    The last axis goes first and each result axis is put in front, so every
+    step reads the grid's trailing axis, which on a C-ordered grid needs no
+    copy.  A 1-D grid is one ``tensordot``, i.e. one BLAS product."""
+    for t in reversed(tables):
+        grid = np.tensordot(t, grid, axes=(0, grid.ndim - 1))
+    return grid
 
 
 def as_multiindex(alpha: Sequence[int] | int, ndim: int | None = None) -> MultiIndex:

@@ -7,8 +7,10 @@ produced by the upward three-term recurrence, which is backward stable on
 [-1, 1]; nothing here ever forms a monomial representation, so degrees in
 the hundreds are safe.  The recurrence fills each row of the basis table in
 place, so a degree-256 table on a fig1 grid costs its own 43 MB and no
-temporaries.  Every coefficient axis has at least one entry; a 0-d series
-is a plain value (a vertex trace).
+temporaries.  Values are read on tensor grids only (``eval_grid``,
+``derivative_grids``): the coefficients are contracted with one basis table
+per axis by ``core.contract_axes``.  Every coefficient axis has at least one
+entry; a 0-d series is a plain value (a vertex trace).
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    EINSUM_LETTERS,
     HyperRect,
     MultiIndex,
     TraceFunction,
     as_multiindex,
     boundary_trace,
-    planned_einsum,
+    contract_axes,
 )
 
 
@@ -143,33 +144,12 @@ class LegendreSeries:
         for i, x in enumerate(axes):
             domain.check_inside(i, np.asarray(x, float))
             tables.append(legendre_values(self.degree[i], x))
-        subs = [EINSUM_LETTERS[: self.ndim]]
-        out = EINSUM_LETTERS[self.ndim: 2 * self.ndim]
-        subs += [EINSUM_LETTERS[i] + out[i] for i in range(self.ndim)]
-        spec = ",".join(subs) + "->" + out
         for alpha in indices:
             coeffs = self.mixed_derivative(alpha).coeffs
-            rows = [t[:n] for t, n in zip(tables, coeffs.shape)]
-            yield planned_einsum(spec, coeffs, *rows)
+            yield contract_axes(coeffs, [t[:n] for t, n in zip(tables, coeffs.shape)])
 
     def eval_grid(self, axes) -> np.ndarray:
         return next(self.derivative_grids([(0,) * self.ndim], axes))
-
-    def __call__(self, *coords):
-        if len(coords) != self.ndim:
-            raise TypeError(f"expected {self.ndim} coordinates, got {len(coords)}")
-        arrs = np.broadcast_arrays(*[np.asarray(c, float) for c in coords])
-        shape = arrs[0].shape
-        flat = [a.reshape(-1) for a in arrs]
-        domain = self.domain
-        for i, x in enumerate(flat):
-            domain.check_inside(i, x)
-        ops, subs = [self.coeffs], [EINSUM_LETTERS[: self.ndim]]
-        for i in range(self.ndim):
-            ops.append(legendre_values(self.degree[i], flat[i]))  # (d+1, M)
-            subs.append(EINSUM_LETTERS[i] + "z")
-        val = planned_einsum(",".join(subs) + "->z", *ops)
-        return val.reshape(shape) if shape else float(val[0])
 
     # --------------------------------------------------------------- calculus
 

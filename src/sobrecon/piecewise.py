@@ -16,7 +16,10 @@ Evaluation is by cell lookup: each node finds its cell once per axis
 (half-open cells, last cell closed), and the coefficient rows of those
 cells are contracted with the node's powers axis by axis.  A grid read
 with ``derivative_grids`` reuses these per-axis tables for every
-derivative order it is asked for.
+derivative order it is asked for.  Integration reuses the calculus: the
+exact integral is the antiderivative along each integrated axis read at the
+axis's upper end, and ``inner`` sums Gauss-weighted values with
+``core.contract_axes``.
 
 The public constructor validates breaks and coefficient shapes.  Results of
 operations on valid polynomials are valid by construction and skip that
@@ -35,14 +38,13 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    EINSUM_LETTERS,
     FaceSpec,
     HyperRect,
     MultiIndex,
     TraceFunction,
     as_multiindex,
     boundary_trace,
-    planned_einsum,
+    contract_axes,
 )
 from .quadrature import axis_quadrature
 
@@ -358,21 +360,19 @@ class PiecewisePoly:
 
     def integral(self, axes=None) -> float:
         """Exact integral over the domain (or over a subset of axes, in which
-        case the remaining axes must carry a constant single piece)."""
-        nd, letters = self.ndim, EINSUM_LETTERS
-        axes = tuple(range(nd)) if axes is None else tuple(sorted(set(axes)))
-        ops, subs = [self.coeffs], [letters[:2 * nd]]
-        out = ""
-        for i in range(nd):
+        case the remaining axes must carry a constant single piece): the
+        antiderivative along each integrated axis, read at that axis's upper
+        end (and at the lower end of the others)."""
+        axes = range(self.ndim) if axes is None else set(axes)
+        f, corner = self, []
+        for i in range(self.ndim):
             if i in axes:
-                w = _powers(np.diff(self.edges(i)), self.degree[i] + 1)[:, 1:]
-                ops.append(w)
-                subs.append(letters[i] + letters[nd + i])
+                f = f.antiderivative(i)
+                corner.append(np.array([self.domain.hi[i]]))
             else:
                 self._check_constant(i, "to stay out of the integral")
-                out += letters[i] + letters[nd + i]
-        res = planned_einsum(",".join(subs) + "->" + out, *ops)
-        return float(np.squeeze(res))
+                corner.append(np.array([self.domain.lo[i]]))
+        return f.eval_grid(corner).item()
 
     def _check_constant(self, axis: int, why: str):
         if self.cell_counts[axis] != 1 or self.degree[axis] != 0:
@@ -414,8 +414,7 @@ class PiecewisePoly:
             ws.append(w)
         fx = self.eval_grid(xs)
         vals = fx * (fx if other is self else other.eval_grid(xs))
-        nodes = EINSUM_LETTERS[:self.ndim]
-        return float(planned_einsum(",".join([nodes, *nodes]) + "->", vals, *ws))
+        return float(contract_axes(vals, ws))
 
     # -------------------------------------------------------------- arithmetic
 

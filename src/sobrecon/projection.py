@@ -9,6 +9,9 @@ reassembled through the reconstruction operators; projecting at order zero
 is the plain L2 projection of the function itself (the paper's direct
 projection).
 
+Both pipelines contract the trace's values on the quadrature grid with one
+weighted table per active axis through ``core.contract_axes``: the Legendre
+basis table, or a one-hot table that sums each cell's weighted nodes.
 Vertex traces take the same path with no active axis, so both projections
 return their value unchanged.
 """
@@ -21,13 +24,12 @@ import numpy as np
 
 from .analytic import AnalyticFunction
 from .core import (
-    EINSUM_LETTERS,
     HyperRect,
     MultiIndex,
     as_multiindex,
+    contract_axes,
     leq,
     multiindex_range,
-    planned_einsum,
 )
 from .expansion import PolyTraceBundle, reconstruct
 from .legseries import LegendreSeries, legendre_values
@@ -44,12 +46,7 @@ def cell_edges(counts, ndim: int) -> tuple[tuple[float, ...], ...]:
 def _grid_coefficients(f, tables, axes) -> np.ndarray:
     """Contract the values of f on the tensor grid of `axes` with one
     (coefficients, nodes) table per axis, quadrature weights included."""
-    ops, subs = [grid_values(f, axes)], [EINSUM_LETTERS[: len(axes)]]
-    out = EINSUM_LETTERS[len(axes): 2 * len(axes)]
-    for i, table in enumerate(tables):
-        ops.append(table)
-        subs.append(out[i] + EINSUM_LETTERS[i])
-    return planned_einsum(",".join(subs) + "->" + out, *ops)
+    return contract_axes(grid_values(f, axes), [t.T for t in tables])
 
 
 def _legendre_from_grid(f, degree: MultiIndex, axes, weights) -> LegendreSeries:

@@ -7,7 +7,9 @@ strictly interior, so singular points and breakpoints are never evaluated.
 A tensor grid is built once per (domain, rule) and its node and weight
 arrays are then shared, read-only, by every reader of that grid.  Every
 reader is given its rule: the default size lives only in QuadratureRule's
-fields, and rule_for completes a base rule for a target.
+fields, and rule_for completes a base rule for a target.  Every integral is
+the grid values contracted with one weight vector per axis by
+``core.contract_axes``.
 
 Three error norms are provided, each of f alone when g is None: plain L2,
 the mixed-smoothness Sobolev norm (sum over the box alpha <= order), and
@@ -27,6 +29,7 @@ from .core import (
     HyperRect,
     active_axes,
     as_multiindex,
+    contract_axes,
     multiindex_range,
 )
 
@@ -212,19 +215,12 @@ def _check_finite(values: np.ndarray, axes):
     raise ValueError(f"integrand is not finite at quadrature node {node}")
 
 
-def _contract(values: np.ndarray, weights) -> float:
-    total = values
-    for w in reversed(weights):
-        total = np.tensordot(total, w, axes=([-1], [0]))
-    return float(total)
-
-
 def integrate(f, domain: HyperRect, rule: QuadratureRule) -> float:
     """Tensor-product composite Gauss approximation of the integral over the domain."""
     axes, weights = grid_quadrature(domain, rule)
     values = grid_values(f, axes)
     _check_finite(values, axes)
-    return _contract(values, weights)
+    return float(contract_axes(values, weights))
 
 
 def _derivative_grids(obj, indices, axes):
@@ -256,7 +252,7 @@ def error_components(f, g, indices, domain: HyperRect,
         if g_grids is not None:
             values = values - next(g_grids)
         _check_finite(values, axes)
-        components[alpha] = _contract(values * values, weights)
+        components[alpha] = float(contract_axes(values * values, weights))
     return components
 
 
@@ -302,5 +298,5 @@ def dc_error(f, g, order, domain: HyperRect, rule: QuadratureRule) -> float:
         if g is not None:
             values = values - g.boundary_trace(alpha, order).eval_grid(axes)
         _check_finite(values, axes)
-        total += _contract(np.asarray(values, float) ** 2, weights)
+        total += float(contract_axes(np.asarray(values, float) ** 2, weights))
     return math.sqrt(max(total, 0.0))

@@ -99,6 +99,22 @@ class TestReproduceCommand:
         assert "PASS fig4 exact recovery at K=4 (S)" in out
         assert (tmp_path / "example2-2d_step_gamma3-3.csv").exists()
 
+    @pytest.mark.parametrize("argv, need", [
+        (["reproduce", "fig4", "--cells", "2,8"], "read K=4"),
+        (["reproduce", "fig1", "--degrees", "2,4,8,16,32"], "[16, 256] and need at least 3"),
+        (["reproduce", "fig2", "--cells", "8,16,32"], "[16, 256] and need at least 3"),
+        (["reproduce", "fig3", "--degrees", "2,4,64"], "[2, 32] and need at least 3"),
+    ])
+    def test_parameters_the_criteria_cannot_read_exit_2(self, argv, need, tmp_path, capsys):
+        # the criteria need K=4 (fig4) or three points in the slope window;
+        # without them the figure is refused before any point runs
+        code = main(argv + ["--out", str(tmp_path / "results")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: ") and need in err
+        assert out == ""
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["reproduce", "fig2", "--degrees", "2,4"], "--degrees"),
         (["reproduce", "fig1", "--cells", "2,4"], "--cells"),

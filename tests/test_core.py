@@ -1,15 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
 from sobrecon.core import (
     HyperRect,
     active_axes,
     as_multiindex,
+    contract_axes,
     face_spec,
     leq,
     multiindex_range,
 )
+from sobrecon.legseries import legendre_values
 
 
 def test_range_order_matches_first_axis_fastest():
@@ -93,3 +96,40 @@ def test_hyperrect_refuses_nonfinite_bounds(lo, hi, axis):
     # NaN fails every lo >= hi test, so only an explicit check refuses it
     with pytest.raises(ValueError, match=f"finite.*axis {axis}"):
         HyperRect(lo, hi)
+
+
+@pytest.mark.parametrize("spec, shapes, broadcast", [
+    ("->", [()], False),
+    ("a,ab->b", [(5,), (5, 3)], False),
+    ("a,a->", [(5,), (5,)], False),
+    ("ab,ac,b->c", [(4, 3), (4, 2), (3,)], False),
+    ("ab,a,bd->d", [(4, 3), (4,), (3, 2)], True),
+    ("ab,ac,bd->cd", [(4, 3), (4, 5), (3, 2)], True),
+    ("abc,ad,be,cf->def", [(3, 4, 2), (3, 5), (4, 1), (2, 3)], False),
+    ("abc,a,be,c->e", [(3, 4, 2), (3,), (4, 6), (2,)], True),
+    ("abc,a,b,c->", [(3, 4, 2), (3,), (4,), (2,)], False),
+])
+def test_contract_axes_matches_literal_einsum(spec, shapes, broadcast):
+    # an (n, m) table keeps an axis of m entries in its place, an (n,)
+    # weight vector sums its axis away; a read-only broadcast grid, as
+    # grid_values returns for a function constant along an axis, reads alike
+    rng = np.random.default_rng(len(spec))
+    grid, *tables = (rng.standard_normal(s) for s in shapes)
+    if broadcast:
+        grid = np.broadcast_to(grid[:1], grid.shape)
+        assert not grid.flags.writeable
+    got = contract_axes(grid, tables)
+    want = np.einsum(spec, grid, *tables)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_contract_axes_1d_is_one_product():
+    # the 1-D projection and evaluation are single BLAS products, bit for
+    # bit; fig1's rounding-dominated points depend on that summation order
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.uniform(-1.0, 1.0, 300))
+    table = legendre_values(256, x)
+    values, coeffs = rng.standard_normal(x.size), rng.standard_normal(257)
+    assert np.array_equal(contract_axes(values, [table.T]), table @ values)
+    assert np.array_equal(contract_axes(coeffs, [table]), table.T @ coeffs)

@@ -2,7 +2,8 @@
 `core` builds TraceFunction values, no function keeps a local it never
 reads, no module imports a name it never reads, no function falls back to
 a default quadrature rule, no einsum searches a contraction path on every
-call, and every name in `sobrecon.__all__` exists.
+call or builds its spec at run time, and every name in `sobrecon.__all__`
+exists.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -269,8 +270,9 @@ def test_defaulted_rule_detector():
 
 def unplanned_einsums(source: str) -> list[int]:
     """Lines of `source` that call einsum with a path search (optimize=True
-    or a named search such as "greedy"), which core.planned_einsum does
-    once per operand shapes instead of on every call."""
+    or a named search such as "greedy"), which searches again on every
+    call; a contraction over a tensor grid's axes goes through
+    core.contract_axes instead."""
     return sorted(
         node.lineno for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
@@ -299,6 +301,40 @@ def test_unplanned_einsum_detector():
         "np.einsum('i->', a, optimize=False)\n"
     )
     assert unplanned_einsums(source) == [3, 4]
+
+
+def runtime_einsum_specs(source: str) -> list[int]:
+    """Lines of `source` that call einsum with a spec that is not a string
+    literal: one built at run time (joined, formatted or passed in) or the
+    sublist form.  Per-axis contractions go through core.contract_axes."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "einsum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and not (node.args and isinstance(node.args[0], ast.Constant)
+                 and isinstance(node.args[0].value, str))
+    )
+
+
+def test_einsum_specs_are_literals():
+    offenders = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+                 if (lines := runtime_einsum_specs(path.read_text()))}
+    assert not offenders, offenders
+
+
+def test_runtime_einsum_spec_detector():
+    source = (
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "np.einsum('ij,j->i', a, b)\n"
+        "einsum(spec, a, b)\n"
+        "np.einsum(','.join(subs) + '->', *ops)\n"
+        "np.einsum(f'{letters}->', a)\n"
+        "np.einsum(a, [0, 1], [0])\n"
+        "einsum('i->', a, optimize=True)\n"
+        "np.einsum_path(spec, a)\n"
+    )
+    assert runtime_einsum_specs(source) == [4, 5, 6, 7]
 
 
 def test_all_exports_resolve():

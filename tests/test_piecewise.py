@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +240,28 @@ class TestIntegrals:
         assert f.inner(g, axes=(0,)) == pytest.approx(expected, rel=1e-13)
         with pytest.raises(ValueError, match="axis 0 must be constant"):
             f.inner(g, axes=(1,))
+
+    @pytest.mark.parametrize("lo, hi, breaks, powers, axes", [
+        ((-1.0,), (3.0,), ([-0.5, 0.25, 2.0],), (5,), None),
+        ((-1.5, 0.25), (2.5, 1.75), ([0.0, 1.125], [0.5]), (3, 2), None),
+        ((-1.0, 0.0, -2.0), (1.0, 2.0, 0.5), ([-0.25], [0.5, 1.0, 1.5], [-1.0]),
+         (1, 4, 2), None),
+        ((-1.0, 0.0, -2.0), (1.0, 2.0, 0.5), ([-0.5], [], [-1.0, 0.0]), (2, 0, 3), (0, 2)),
+        ((-1.5, 0.25), (2.5, 1.75), ([], [0.5, 0.75]), (0, 4), (1,)),
+    ])
+    def test_integral_of_kernel_products_is_exact(self, lo, hi, breaks, powers, axes):
+        # prod_i z_i^a_i / a_i! with z_i = s_i - lo_i, on a dyadic box with
+        # breaks: its integral over axis i is (hi_i - lo_i)^(a_i+1) / (a_i+1)!,
+        # and an axis left out of the integral has a_i = 0 and one cell
+        dom = HyperRect(lo, hi)
+        cells = tuple(len(b) + 1 for b in breaks)
+        f = PiecewisePoly(dom, tuple(np.array(b) for b in breaks), np.ones(cells + (1,) * dom.ndim))
+        for i, a in enumerate(powers):
+            f = f.multiply_kernel(i, a)
+        kept = range(dom.ndim) if axes is None else axes
+        exact = math.prod(Fraction(hi[i] - lo[i]) ** (powers[i] + 1)
+                          / math.factorial(powers[i] + 1) for i in kept)
+        assert f.integral(axes) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
     def test_subset_integral_requires_constant_axes(self):
         dom = HyperRect.cube(2)
