@@ -21,7 +21,7 @@ for panels in [32, 128, 512]:
 print("\ngeometric grading toward 0 (ratio 1/4):")
 for levels in [5, 10, 20, 40]:
     rule = QuadratureRule(nodes=16, panels=8, splits=((0.0,),),
-                          grading=(AxisGrading(0.0, 0.25, levels),))
+                          grading=(AxisGrading(0.0, panels=levels),))
     err = abs(integrate(f, u.domain, rule) - 1.0)
     print(f"  {levels:>4} graded panels/side -> error {err:.3e}")
 

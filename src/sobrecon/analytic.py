@@ -84,20 +84,6 @@ class AnalyticFunction:
     def __call__(self, *coords):
         return self.derivatives[(0,) * self.domain.ndim](*coords)
 
-    def eval_derivative(self, alpha, point) -> float:
-        """D^alpha at a single point; rejects orders beyond delta and points
-        outside the domain."""
-        alpha = as_multiindex(alpha, ndim=self.domain.ndim)
-        if not leq(alpha, self.delta):
-            raise ValueError(
-                f"derivative {alpha} is not guaranteed square-integrable "
-                f"(smoothness order is {self.delta})"
-            )
-        point = tuple(float(p) for p in point)
-        if not self.domain.contains(point):
-            raise ValueError(f"point {point} outside domain")
-        return float(self.derivatives[alpha](*point))
-
     def derivative_grid(self, alpha, axes) -> np.ndarray:
         alpha = as_multiindex(alpha, ndim=self.domain.ndim)
         if not leq(alpha, self.delta):

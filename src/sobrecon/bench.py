@@ -67,25 +67,22 @@ def error_norms(u: AnalyticFunction, approx, rule) -> tuple[float, float, float]
     return l2, s, w
 
 
-def norm_rule(u: AnalyticFunction, approx, panels=None) -> QuadratureRule:
+def norm_rule(u: AnalyticFunction, approx) -> QuadratureRule:
     """Quadrature rule for the error norms of `approx` against `u`.
 
     The rule splits at the approximant's cell edges (`approx.breaks` of a
     piecewise polynomial; a Legendre series has none).  When `u` declares
     `piece_degree`, (D^alpha (u - approx))^2 is a polynomial of degree at
     most 2 * max(deg u, deg approx) on each cell of the common refinement,
-    so max(deg u, deg approx) + 1 Gauss nodes on each cell (`panels`
-    subdivides further) integrate it exactly up to rounding; a rule takes
-    at least 2 nodes, so piecewise constants get 2.  Other targets
-    get a flat 16-node rule on 32 (1-D) or 16 (otherwise) baseline panels
-    per axis."""
+    so max(deg u, deg approx) + 1 Gauss nodes on each cell integrate it
+    exactly up to rounding; a rule takes at least 2 nodes, so piecewise
+    constants get 2.  Other targets get a flat 16-node rule on 32 (1-D) or
+    16 (otherwise) baseline panels per axis."""
     splits = approx.breaks if isinstance(approx, PiecewisePoly) else None
     if u.piece_degree is not None:
         nodes = max(max(u.piece_degree), max(approx.degree), 1) + 1
-        base = QuadratureRule(nodes=nodes, panels=1 if panels is None else panels)
-        return rule_for(u, base, extra_splits=splits)
-    if panels is None:
-        panels = 32 if u.domain.ndim == 1 else 16
+        return rule_for(u, QuadratureRule(nodes=nodes, panels=1), extra_splits=splits)
+    panels = 32 if u.domain.ndim == 1 else 16
     return rule_for(u, QuadratureRule(panels=panels), extra_splits=splits)
 
 
@@ -94,7 +91,12 @@ SWEEP_METHODS = {"legendre": 0, "step": 1}
 
 
 def check_sweep(method: str, params):
-    """Refuse an unknown method, or a parameter below the method's least."""
+    """Refuse an unknown method, an empty or not strictly increasing
+    parameter list, or a parameter below the method's least."""
+    if not params:
+        raise ValueError("need at least one parameter value")
+    if any(b >= a for a, b in zip(params[1:], params[:-1])):
+        raise ValueError("parameter values must increase strictly")
     if method not in SWEEP_METHODS:
         raise ValueError(f"unknown method {method!r}; use one of {sorted(SWEEP_METHODS)}")
     if below := [p for p in params if p < SWEEP_METHODS[method]]:
@@ -102,37 +104,30 @@ def check_sweep(method: str, params):
                          f"got {below}")
 
 
-def approximant(u: AnalyticFunction, method: str, gamma, param: int, nodes=None):
+def approximant(u: AnalyticFunction, method: str, gamma, param: int):
     """The order-`gamma` projection of `u` at one sweep parameter."""
     check_sweep(method, [param])
     size = (int(param),) * u.domain.ndim
     if method == "legendre":
-        rule = QuadratureRule(nodes=max(16, param + 8) if nodes is None else nodes, panels=4)
+        rule = QuadratureRule(nodes=max(16, param + 8), panels=4)
         return sobolev_project_legendre(u, gamma, size, rule)
-    rule = QuadratureRule(nodes=16 if nodes is None else nodes, panels=4)
-    return sobolev_project_step(u, gamma, size, rule)
+    return sobolev_project_step(u, gamma, size, QuadratureRule(nodes=16, panels=4))
 
 
-def sweep_point(u: AnalyticFunction, method: str, gamma, param: int,
-                nodes=None, panels=None):
+def sweep_point(u: AnalyticFunction, method: str, gamma, param: int):
     """Build one approximant and return (l2, s, w, runtime_seconds)."""
     start = time.perf_counter()
-    approx = approximant(u, method, gamma, param, nodes)
-    l2, s, w = error_norms(u, approx, norm_rule(u, approx, panels))
+    approx = approximant(u, method, gamma, param)
+    l2, s, w = error_norms(u, approx, norm_rule(u, approx))
     return l2, s, w, time.perf_counter() - start
 
 
-def run_sweep(u: AnalyticFunction, method: str, gamma, params,
-              nodes=None, panels=None) -> SweepResult:
+def run_sweep(u: AnalyticFunction, method: str, gamma, params) -> SweepResult:
     """Sweep the approximation parameter; point failures are recorded and
     the sweep continues with NaN entries.  A method, parameter list or
     order that no point could run with is refused before any point runs."""
     gamma = as_multiindex(gamma, ndim=u.domain.ndim)
     params = [int(p) for p in params]
-    if not params:
-        raise ValueError("need at least one parameter value")
-    if any(b >= a for a, b in zip(params[1:], params[:-1])):
-        raise ValueError("parameter values must increase strictly")
     check_sweep(method, params)
     if not leq(gamma, u.delta):
         raise ValueError(f"projection order {gamma} exceeds smoothness {u.delta}")
@@ -140,7 +135,7 @@ def run_sweep(u: AnalyticFunction, method: str, gamma, params,
     result = SweepResult(params, [], [], [], [])
     for param in params:
         try:
-            row = sweep_point(u, method, gamma, param, nodes, panels)
+            row = sweep_point(u, method, gamma, param)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             result.failures.append((param, f"{type(exc).__name__}: {exc}"))
             row = (math.nan, math.nan, math.nan, math.nan)

@@ -40,18 +40,6 @@ def _example(args) -> "AnalyticFunction":
     return get_example(args.example, **kwargs)
 
 
-def _quad_kwargs(args) -> dict:
-    """The --quad-nodes / --quad-panels values given, checked here, so a
-    size that no rule accepts stops the command before any point runs."""
-    out = {}
-    if args.quad_nodes is not None:
-        out["nodes"] = args.quad_nodes
-    if args.quad_panels is not None:
-        out["panels"] = args.quad_panels
-    QuadratureRule(**out)  # raises ValueError on a refused size
-    return out
-
-
 def _sweep_params(args, method: str, default) -> list[int]:
     """The sweep's parameter list: --degrees for a Legendre sweep, --cells
     for a step sweep; the other method's flag, and a parameter the method
@@ -74,13 +62,12 @@ def cmd_reproduce(args) -> int:
     preset = bench.FIGURES[figure]
     u = get_example(preset["example"])
     params = _sweep_params(args, preset["method"], preset["params"])
-    quad = _quad_kwargs(args)
     bench.check_figure_params(figure, params)
     os.makedirs(args.out, exist_ok=True)
 
     sweeps = {}
     for gamma in preset["gammas"]:
-        result = bench.run_sweep(u, preset["method"], gamma, params, **quad)
+        result = bench.run_sweep(u, preset["method"], gamma, params)
         sweeps[gamma] = result
         path = os.path.join(args.out, _csv_name(preset["example"],
                                                 preset["method"], gamma))
@@ -114,7 +101,8 @@ def cmd_expand(args) -> int:
     if len(point) != nd:
         print(f"point needs {nd} coordinates", file=sys.stderr)
         return 2
-    rule = rule_for(u, QuadratureRule(**_quad_kwargs(args)))
+    sizes = {"nodes": args.quad_nodes, "panels": args.quad_panels}
+    rule = rule_for(u, QuadratureRule(**{k: v for k, v in sizes.items() if v is not None}))
 
     print(f"expansion of {u.name or args.example} at point {point}, order {delta}")
     header = f"{'alpha':>12} {'face':>12} {'term':>24}"
@@ -139,7 +127,7 @@ def cmd_sweep(args) -> int:
     u = _example(args)
     gamma = _gamma_for(u, args.gamma)
     params = _sweep_params(args, args.method, (2, 4, 8, 16, 32))
-    result = bench.run_sweep(u, args.method, gamma, params, **_quad_kwargs(args))
+    result = bench.run_sweep(u, args.method, gamma, params)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, _csv_name(args.example, args.method, gamma))
     result.write_csv(path)
@@ -151,13 +139,6 @@ def cmd_sweep(args) -> int:
     if len(params) >= 3 and all(e > 0 for e in result.l2):
         print(f"L2 slope: {bench.fit_slope(result, 'l2'):+.3f}")
     return 0 if not result.failures else 1
-
-
-def _add_quad_flags(parser):
-    parser.add_argument("--quad-nodes", type=int, default=None,
-                        help="Gauss nodes per panel")
-    parser.add_argument("--quad-panels", type=int, default=None,
-                        help="baseline panels per axis")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="results")
     p.add_argument("--degrees", default=None, help="comma-separated degree sweep")
     p.add_argument("--cells", default=None, help="comma-separated cell-count sweep")
-    _add_quad_flags(p)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="run a seeded property suite")
@@ -187,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default=None, help="expansion order, e.g. 2,1")
     p.add_argument("--point", required=True, help="evaluation point, e.g. 0.5,0.5")
     p.add_argument("--seed", type=int, default=42)
-    _add_quad_flags(p)
+    p.add_argument("--quad-nodes", type=int, default=None, help="Gauss nodes per panel")
+    p.add_argument("--quad-panels", type=int, default=None, help="baseline panels per axis")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("sweep", help="free-form convergence sweep")
@@ -198,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", default=None)
     p.add_argument("--out", default="results")
     p.add_argument("--seed", type=int, default=42)
-    _add_quad_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser

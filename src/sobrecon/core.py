@@ -112,16 +112,6 @@ class HyperRect:
     def ndim(self) -> int:
         return len(self.lo)
 
-    def contains(self, point: Sequence[float]) -> bool:
-        """Whether the point lies in the box, to 1e-12 of each axis width."""
-        point = tuple(float(p) for p in point)
-        if len(point) != self.ndim:
-            return False
-        return all(
-            a - 1e-12 * (b - a) <= p <= b + 1e-12 * (b - a)
-            for p, a, b in zip(point, self.lo, self.hi)
-        )
-
     def check_inside(self, axis: int, x: np.ndarray):
         """Raise ValueError if any coordinate in `x` lies outside [lo, hi] on
         `axis` by more than 1e-12 of the axis width."""
@@ -129,12 +119,13 @@ class HyperRect:
         tol = 1e-12 * (hi - lo)
         bad = (x < lo - tol) | (x > hi + tol)
         if np.any(bad):
-            where = np.asarray(x)[bad].reshape(-1)[0]
+            where = float(np.asarray(x)[bad].reshape(-1)[0])
             raise ValueError(f"point outside domain on axis {axis}: {where!r} not in [{lo}, {hi}]")
 
     @classmethod
-    def cube(cls, ndim: int, lo: float = -1.0, hi: float = 1.0) -> "HyperRect":
-        return cls((lo,) * ndim, (hi,) * ndim)
+    def cube(cls, ndim: int) -> "HyperRect":
+        """The standard hypercube [-1, 1]^ndim."""
+        return cls((-1.0,) * ndim, (1.0,) * ndim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,9 +213,6 @@ class LegendreSeries:
         degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
         return LegendreSeries(self.pad_to(degree).coeffs + other.pad_to(degree).coeffs)
 
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def __rmul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented

@@ -162,8 +162,9 @@ class PiecewisePoly:
         if len(breaks) != nd:
             raise ValueError(f"expected {nd} break arrays, got {len(breaks)}")
         for i, b in enumerate(breaks):
-            if b.size and (np.any(np.diff(b) <= 0)
-                           or b[0] <= self.domain.lo[i] or b[-1] >= self.domain.hi[i]):
+            # stated as what valid breaks satisfy, so that a NaN is refused too
+            if b.size and not (np.all(np.diff(b) > 0)
+                               and self.domain.lo[i] < b[0] and b[-1] < self.domain.hi[i]):
                 raise ValueError(f"breaks on axis {i} must increase strictly inside the domain")
         coeffs = np.asarray(self.coeffs, float)
         if coeffs.ndim != 2 * nd:
@@ -443,14 +444,6 @@ class PiecewisePoly:
         degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
         return _accumulate(_zeros(self.domain, breaks, degree), (self, other))
 
-    def __neg__(self):
-        return PiecewisePoly._make(self.domain, self.breaks, -self.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, PiecewisePoly):
-            return NotImplemented
-        return self + (-other)
-
     def __rmul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
@@ -484,11 +477,6 @@ class PiecewisePoly:
     def boundary_trace(self, alpha, order) -> TraceFunction:
         """Trace of D^alpha on the face it lives on in an order-`order` expansion."""
         return boundary_trace(self, alpha, order)
-
-    # -------------------------------------------------------------- comparison
-
-    def allclose(self, other: "PiecewisePoly", tol: float = 1e-10) -> bool:
-        return coeff_distance(self, other) <= tol
 
 
 def _zeros(domain: HyperRect, breaks: tuple[np.ndarray, ...],

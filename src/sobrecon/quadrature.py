@@ -33,17 +33,21 @@ from .core import (
     multiindex_range,
 )
 
+#: Ratio of successive panel widths toward a grading center.
+GRADING_RATIO = 0.25
+
+
 @dataclass(frozen=True)
 class AxisGrading:
-    """Geometric panel refinement toward one point of an axis."""
+    """Geometric panel refinement toward one point of an axis: `panels`
+    levels whose widths shrink by GRADING_RATIO toward `center`."""
 
     center: float
-    ratio: float = 0.25
     panels: int = 40
 
     def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"grading ratio must be in (0, 1), got {self.ratio}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"grading center must be finite, got {self.center}")
         if self.panels < 1:
             raise ValueError("grading needs at least one panel")
 
@@ -150,7 +154,7 @@ def axis_quadrature(lo: float, hi: float, splits, grading: AxisGrading | None,
         graded = False
         if center is not None:
             near = a if a >= center else b  # c is a cut, so it is never inside
-            offsets = (b - a) * grading.ratio ** np.arange(grading.panels - 1, -1, -1.0)
+            offsets = (b - a) * GRADING_RATIO ** np.arange(grading.panels - 1, -1, -1.0)
             h_min = 8.0 * np.spacing(abs(center)) / (1.0 - ref_x[-1])
             keep = offsets >= max(abs(near - center), h_min)
             keep[-1] = True  # the whole segment, even a split within h_min of c
@@ -223,20 +227,6 @@ def integrate(f, domain: HyperRect, rule: QuadratureRule) -> float:
     return float(contract_axes(values, weights))
 
 
-def _derivative_grids(obj, indices, axes):
-    """D^alpha obj on the grid for each alpha in `indices`, from the
-    object's own derivative_grids; a plain callable supplies alpha = 0 only."""
-    shape = tuple(len(a) for a in axes)
-    if hasattr(obj, "derivative_grids"):
-        for values in obj.derivative_grids(indices, axes):
-            yield np.broadcast_to(np.asarray(values, float), shape)
-        return
-    for alpha in indices:
-        if any(alpha):
-            raise TypeError(f"{type(obj).__name__} cannot supply derivatives")
-        yield grid_values(obj, axes)
-
-
 def error_components(f, g, indices, domain: HyperRect,
                      rule: QuadratureRule) -> dict:
     """Squared L2 norm of D^alpha (f - g) (of D^alpha f when g is None) for
@@ -244,8 +234,8 @@ def error_components(f, g, indices, domain: HyperRect,
     each operand reads once."""
     axes, weights = grid_quadrature(domain, rule)
     indices = list(indices)
-    f_grids = _derivative_grids(f, indices, axes)
-    g_grids = None if g is None else _derivative_grids(g, indices, axes)
+    f_grids = f.derivative_grids(indices, axes)
+    g_grids = None if g is None else g.derivative_grids(indices, axes)
     components = {}
     for alpha in indices:
         values = next(f_grids)

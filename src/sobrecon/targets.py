@@ -101,11 +101,11 @@ def example2() -> AnalyticFunction:
 
 
 def random_poly_function(seed: int = 0, ndim: int = 1, delta=(2,),
-                         degree_margin: int = 2, domain: HyperRect | None = None
-                         ) -> AnalyticFunction:
-    """Random tensor polynomial wrapped as an analytic target (property tests)."""
+                         degree_margin: int = 2) -> AnalyticFunction:
+    """Random tensor polynomial on [-1, 1]^ndim wrapped as an analytic
+    target (property tests)."""
     delta = as_multiindex(delta, ndim=ndim)
-    domain = domain or HyperRect.cube(ndim)
+    domain = HyperRect.cube(ndim)
     rng = np.random.default_rng(seed)
     degrees = tuple(d + degree_margin for d in delta)
     coeffs = rng.standard_normal((1,) * ndim + tuple(d + 1 for d in degrees))

@@ -104,6 +104,7 @@ class TestReproduceCommand:
         (["reproduce", "fig1", "--degrees", "2,4,8,16,32"], "[16, 256] and need at least 3"),
         (["reproduce", "fig2", "--cells", "8,16,32"], "[16, 256] and need at least 3"),
         (["reproduce", "fig3", "--degrees", "2,4,64"], "[2, 32] and need at least 3"),
+        (["reproduce", "fig2", "--cells", "64,32,16"], "must increase strictly"),
     ])
     def test_parameters_the_criteria_cannot_read_exit_2(self, argv, need, tmp_path, capsys):
         # the criteria need K=4 (fig4) or three points in the slope window;
@@ -131,22 +132,24 @@ class TestReproduceCommand:
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["reproduce", "fig1", "--degrees", "2,4,8", "--quad-panels", "0"],
-        ["reproduce", "fig2", "--cells", "2,4,8", "--quad-nodes", "0"],
+        ["reproduce", "fig1", "--degrees", "2,4,8", "--quad-panels", "8"],
+        ["reproduce", "fig2", "--cells", "2,4,8", "--quad-nodes", "8"],
         ["sweep", "--example", "example1-1d", "--method", "legendre", "--degrees", "2,4",
          "--quad-nodes", "0"],
         ["sweep", "--example", "example1-1d", "--method", "legendre", "--degrees", "2,4",
-         "--quad-nodes", "1"],
+         "--quad-nodes", "24"],
         ["sweep", "--example", "example2-2d", "--method", "step", "--cells", "2,4",
-         "--quad-panels", "0"],
+         "--quad-panels", "4"],
     ])
     def test_quadrature_size_refused_before_any_point(self, argv, tmp_path, capsys):
-        # 0 is a size, not "unset": it must not fall back to the default rule
-        code = main(argv + ["--out", str(tmp_path / "results")])
+        # reproduce and sweep run fixed rules and take no size, whatever its
+        # value: the parser refuses the flag before any point runs
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "results")])
         out, err = capsys.readouterr()
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "param=" not in out and "failed" not in out
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quad-" in err
+        assert out == ""
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -178,6 +181,11 @@ class TestReproduceCommand:
         code = main(["expand", "--example", "example1-1d", "--point", "0.5", flag, "0"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_expand_refuses_a_point_outside_the_domain(self, capsys):
+        code = main(["expand", "--example", "example1-1d", "--point", "1.5"])
+        assert code == 2
+        assert "outside domain" in capsys.readouterr().err
 
     def test_unknown_example_exits_2(self, capsys):
         code = main(["sweep", "--example", "nope", "--method", "step"])

@@ -79,8 +79,10 @@ def test_multiindex_validation():
 def test_hyperrect_validation():
     box = HyperRect((0.0, -1.0), (1.0, 1.0))
     assert box.ndim == 2
-    assert box.contains((0.5, 0.0))
-    assert not box.contains((1.5, 0.0))
+    box.check_inside(0, np.array([0.5]))
+    box.check_inside(1, np.array([0.0]))
+    with pytest.raises(ValueError, match="outside domain on axis 0"):
+        box.check_inside(0, np.array([1.5]))
     with pytest.raises(ValueError):
         HyperRect((0.0,), (0.0,))
     assert HyperRect.cube(3).lo == (-1.0, -1.0, -1.0)

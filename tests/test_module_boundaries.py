@@ -2,19 +2,22 @@
 `core` builds TraceFunction values, no function keeps a local it never
 reads, no module imports a name it never reads, no function falls back to
 a default quadrature rule, no einsum searches a contraction path on every
-call or builds its spec at run time, and every name in `sobrecon.__all__`
-exists.
+call or builds its spec at run time, every name in `sobrecon.__all__`
+exists, and every sobrecon name the benchmark's tracer wraps is still there.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import sobrecon
 
 PACKAGE = pathlib.Path(sobrecon.__file__).parent
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _is_private(name: str) -> bool:
@@ -341,3 +344,42 @@ def test_all_exports_resolve():
     missing = [name for name in sobrecon.__all__ if not hasattr(sobrecon, name)]
     assert not missing, missing
     assert len(set(sobrecon.__all__)) == len(sobrecon.__all__)
+
+
+def missing_traced_names(functions, methods, containers) -> list[str]:
+    """Names in the tracer's tables that do not resolve: `module.name` for a
+    function or container, `module.Class.method` for a method that is not in
+    the class's own ``__dict__`` (the tracer wraps it there, so an inherited
+    one does not count)."""
+    found = []
+    for module, name in [(f[1], f[2]) for f in functions] + list(containers):
+        if not hasattr(importlib.import_module(module), name):
+            found.append(f"{module}.{name}")
+    for _, module, cls, name, *_ in methods:
+        owner = getattr(importlib.import_module(module), cls, None)
+        if owner is None or name not in vars(owner):
+            found.append(f"{module}.{cls}.{name}")
+    return found
+
+
+def test_traced_names_resolve():
+    # the benchmark fails when a name it wraps is gone; its own tests are
+    # not collected with these, so check its tables here
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FUNCTIONS and tracing.METHODS
+    missing = missing_traced_names(tracing.FUNCTIONS, tracing.METHODS, tracing.CONTAINERS)
+    assert not missing, missing
+
+
+def test_traced_name_detector():
+    functions = (("quadrature.l2_error", "sobrecon.quadrature", "l2_error", None, None),
+                 (None, "sobrecon.quadrature", "_no_such_helper", None, None))
+    methods = (("piecewise.add", "sobrecon.piecewise", "PiecewisePoly", "__add__", None, None),
+               ("piecewise.str", "sobrecon.piecewise", "PiecewisePoly", "__str__", None, None),
+               ("gone.eval", "sobrecon.piecewise", "NoSuchClass", "eval_grid", None, None))
+    containers = (("sobrecon.verify", "SUITES"), ("sobrecon.verify", "NO_SUCH_TABLE"))
+    assert missing_traced_names(functions, methods, containers) == [
+        "sobrecon.quadrature._no_such_helper", "sobrecon.verify.NO_SUCH_TABLE",
+        "sobrecon.piecewise.PiecewisePoly.__str__", "sobrecon.piecewise.NoSuchClass.eval_grid"]

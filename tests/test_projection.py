@@ -345,7 +345,7 @@ class TestSobolevStep:
         def oracle(x):
             total = mean_top * (x + 1.0) ** 5 / math.factorial(5)
             for k in range(5):
-                total += u.eval_derivative((k,), (-1.0,)) * (x + 1.0) ** k / math.factorial(k)
+                total += u.derivatives[(k,)](-1.0) * (x + 1.0) ** k / math.factorial(k)
             return total
 
         for x in xs:

@@ -3,8 +3,9 @@ import pytest
 
 from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import active_axes, as_multiindex, face_spec, multiindex_range
+from sobrecon.expansion import term_at_point
 from sobrecon.projection import sobolev_project_legendre
-from sobrecon.quadrature import QuadratureRule
+from sobrecon.quadrature import QuadratureRule, rule_for
 from sobrecon.targets import available_examples, example1, example2, get_example, v_derivative
 
 
@@ -34,19 +35,19 @@ class TestExample1:
     def test_fifth_derivative_formula(self):
         u = example1()
         for s in (0.5, -0.25, 0.9):
-            assert u.eval_derivative((5,), (s,)) == \
+            assert u.derivatives[(5,)](s) == \
                 pytest.approx(1.0 / (2.0 * abs(s) ** 0.25), rel=1e-13)
 
     def test_sixth_derivative_not_available(self):
         u = example1()
         assert u.delta == (5,)
-        with pytest.raises(ValueError, match="not guaranteed"):
-            u.eval_derivative((6,), (0.5,))
+        with pytest.raises(ValueError, match="unavailable"):
+            u.derivative_grid((6,), [np.array([0.5])])
 
     def test_rejects_point_outside(self):
         u = example1()
-        with pytest.raises(ValueError, match="outside"):
-            u.eval_derivative((0,), (1.5,))
+        with pytest.raises(ValueError, match="outside domain on axis 0"):
+            term_at_point(u.boundary_trace((0,)), (1.5,), rule_for(u))
 
     def test_finite_difference_consistency(self):
         u = example1()
@@ -84,7 +85,7 @@ class TestExample2:
         w = example2()
         x, y = 0.3, -0.7
         for alpha in multiindex_range((3, 3)):
-            got = w.eval_derivative(alpha, (x, y))
+            got = w.derivatives[alpha](x, y)
             expected = v_derivative(alpha[0], x) * v_derivative(alpha[1], y)
             assert got == pytest.approx(expected, rel=1e-14)
 
@@ -135,7 +136,7 @@ class TestTraces:
         t = w.boundary_trace((3, 3))
         assert t.face == (0, 0)
         assert float(t.eval_grid([np.array([0.3]), np.array([0.1])])[0, 0]) == pytest.approx(
-            w.eval_derivative((3, 3), (0.3, 0.1)))
+            w.derivatives[(3, 3)](0.3, 0.1))
 
     @pytest.mark.parametrize("ndim,delta", [(2, (2, 1)), (3, (1, 2, 1))])
     def test_three_function_kinds_give_one_trace(self, ndim, delta):
@@ -143,7 +144,7 @@ class TestTraces:
         # each pinned axis.  The analytic target, its PiecewisePoly and the
         # LegendreSeries projected from it at its own degree (exact for a
         # polynomial) must all give it, vertex faces included.  The oracle is
-        # eval_derivative at the pinned points; the bound is 1e-11 relative
+        # the D^alpha evaluator at the pinned points; the bound is 1e-11 relative
         # to the largest |D^alpha u| on the face grid (measured 3.7e-13).
         u = get_example("poly-random", seed=3, ndim=ndim, delta=delta)
         pw = u.derivatives[(0,) * ndim]
@@ -159,7 +160,7 @@ class TestTraces:
             for index in np.ndindex(want.shape):
                 coords = dict(zip(active, nodes[list(index)]))
                 point = [coords.get(i, u.domain.lo[i]) for i in range(ndim)]
-                want[index] = u.eval_derivative(alpha, point)
+                want[index] = u.derivatives[alpha](*point)
             scale = np.abs(want).max()
             for f in (u, pw, series):
                 got = f.boundary_trace(alpha, delta).eval_grid(grid)
