@@ -13,9 +13,8 @@ from sobrecon import fit_slope, get_example, run_sweep
 u = get_example("example1-1d")
 degrees = [2, 4, 8, 16, 32, 64, 128, 256]
 
-for gamma in [(0,), (5,)]:
+for gamma, r in run_sweep(u, "legendre", [(0,), (5,)], degrees).items():
     label = "plain projection" if gamma == (0,) else "order-5 trace projection"
-    r = run_sweep(u, "legendre", gamma, degrees)
     print(f"{label} (gamma={gamma[0]})")
     print(f"  {'degree':>6} {'L2 error':>12} {'S error':>12}")
     for d, l2, s in zip(r.params, r.l2, r.s):

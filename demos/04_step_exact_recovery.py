@@ -12,8 +12,7 @@ from sobrecon import get_example, run_sweep
 w = get_example("example2-2d")
 cells = [2, 4, 8, 16]
 
-for gamma in [(0, 0), (3, 3)]:
-    r = run_sweep(w, "step", gamma, cells)
+for gamma, r in run_sweep(w, "step", [(0, 0), (3, 3)], cells).items():
     print(f"gamma = {gamma}")
     print(f"  {'K':>4} {'L2 error':>12} {'S error':>12}")
     for k, l2, s in zip(r.params, r.l2, r.s):

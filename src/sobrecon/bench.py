@@ -6,6 +6,12 @@ target, with errors recorded in the L2 norm, the mixed-smoothness norm at
 the target's full order, and the isotropic Sobolev norm.  Results are
 emitted as CSV (param, l2_error, s_error, w_error, runtime_s), one file per
 (example, method, order) combination.
+
+A sweep runs every order at one parameter before it moves to the next
+parameter.  At a fixed parameter all orders project on the same quadrature
+grid at the same degree or cell count, so their projections share each
+weighted basis table through one ``projection.shared_tables`` block, which
+is closed, and its tables dropped, before the next parameter.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +27,7 @@ import numpy as np
 from .analytic import AnalyticFunction
 from .core import as_multiindex, leq, multiindex_range
 from .piecewise import PiecewisePoly
-from .projection import sobolev_project_legendre, sobolev_project_step
+from .projection import shared_tables, sobolev_project_legendre, sobolev_project_step
 from .quadrature import QuadratureRule, error_components, rule_for
 from .verify import CheckResult
 
@@ -122,29 +129,52 @@ def sweep_point(u: AnalyticFunction, method: str, gamma, param: int):
     return l2, s, w, time.perf_counter() - start
 
 
-def run_sweep(u: AnalyticFunction, method: str, gamma, params) -> SweepResult:
-    """Sweep the approximation parameter; point failures are recorded and
-    the sweep continues with NaN entries.  A method, parameter list or
-    order that no point could run with is refused before any point runs."""
-    gamma = as_multiindex(gamma, ndim=u.domain.ndim)
+def _check_orders(u: AnalyticFunction, orders) -> list:
+    """The sweep's orders as multi-indices: refuse an empty list, an order
+    that is not a sequence (a bare (0,) is one order, not the list of
+    orders [0]), and an order above u's smoothness."""
+    orders = list(orders)
+    if not orders:
+        raise ValueError("need at least one projection order")
+    if bare := [g for g in orders if isinstance(g, str) or not isinstance(g, Sequence)]:
+        raise ValueError(f"each projection order must be a sequence such as (0,), "
+                         f"got {bare}")
+    orders = [as_multiindex(g, ndim=u.domain.ndim) for g in orders]
+    if above := [g for g in orders if not leq(g, u.delta)]:
+        raise ValueError(f"projection order {above[0]} exceeds smoothness {u.delta}")
+    return orders
+
+
+def run_sweep(u: AnalyticFunction, method: str, orders, params) -> dict:
+    """Sweep the approximation parameter at every order in `orders` and
+    return {order: SweepResult}.
+
+    Parameters are the outer loop: every order runs at one parameter before
+    the next parameter, and the orders' projections share their weighted
+    basis tables in one `shared_tables` block per parameter, so no table
+    outlives its parameter.  The runtime of the first order at a parameter
+    includes the shared table build.  Point failures are recorded and the
+    sweep continues with NaN entries.  A method, parameter list or order
+    that no point could run with is refused before any point runs."""
+    orders = _check_orders(u, orders)
     params = [int(p) for p in params]
     check_sweep(method, params)
-    if not leq(gamma, u.delta):
-        raise ValueError(f"projection order {gamma} exceeds smoothness {u.delta}")
 
-    result = SweepResult(params, [], [], [], [])
+    results = {g: SweepResult(list(params), [], [], [], []) for g in orders}
     for param in params:
-        try:
-            row = sweep_point(u, method, gamma, param)
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            result.failures.append((param, f"{type(exc).__name__}: {exc}"))
-            row = (math.nan, math.nan, math.nan, math.nan)
-        l2, s, w, dt = row
-        result.l2.append(l2)
-        result.s.append(s)
-        result.w.append(w)
-        result.runtime.append(dt)
-    return result
+        with shared_tables():
+            for gamma, result in results.items():
+                try:
+                    row = sweep_point(u, method, gamma, param)
+                except Exception as exc:  # noqa: BLE001 - failures are data here
+                    result.failures.append((param, f"{type(exc).__name__}: {exc}"))
+                    row = (math.nan, math.nan, math.nan, math.nan)
+                l2, s, w, dt = row
+                result.l2.append(l2)
+                result.s.append(s)
+                result.w.append(w)
+                result.runtime.append(dt)
+    return results
 
 
 def fit_slope(result: SweepResult, norm: str = "l2", window=None) -> float:

@@ -65,10 +65,8 @@ def cmd_reproduce(args) -> int:
     bench.check_figure_params(figure, params)
     os.makedirs(args.out, exist_ok=True)
 
-    sweeps = {}
-    for gamma in preset["gammas"]:
-        result = bench.run_sweep(u, preset["method"], gamma, params)
-        sweeps[gamma] = result
+    sweeps = bench.run_sweep(u, preset["method"], preset["gammas"], params)
+    for gamma, result in sweeps.items():
         path = os.path.join(args.out, _csv_name(preset["example"],
                                                 preset["method"], gamma))
         result.write_csv(path)
@@ -99,8 +97,9 @@ def cmd_expand(args) -> int:
         _parse_ints(args.delta), ndim=nd)
     point = tuple(float(t) for t in args.point.replace(",", " ").split())
     if len(point) != nd:
-        print(f"point needs {nd} coordinates", file=sys.stderr)
-        return 2
+        raise ValueError(f"point needs {nd} coordinates, got {len(point)}")
+    for i, x in enumerate(point):
+        u.domain.check_inside(i, x)
     sizes = {"nodes": args.quad_nodes, "panels": args.quad_panels}
     rule = rule_for(u, QuadratureRule(**{k: v for k, v in sizes.items() if v is not None}))
 
@@ -127,7 +126,7 @@ def cmd_sweep(args) -> int:
     u = _example(args)
     gamma = _gamma_for(u, args.gamma)
     params = _sweep_params(args, args.method, (2, 4, 8, 16, 32))
-    result = bench.run_sweep(u, args.method, gamma, params)
+    result = bench.run_sweep(u, args.method, [gamma], params)[gamma]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, _csv_name(args.example, args.method, gamma))
     result.write_csv(path)

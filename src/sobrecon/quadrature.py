@@ -48,6 +48,9 @@ class AxisGrading:
     def __post_init__(self):
         if not math.isfinite(self.center):
             raise ValueError(f"grading center must be finite, got {self.center}")
+        if isinstance(self.panels, bool) or not isinstance(self.panels, (int, np.integer)):
+            raise ValueError(f"grading panels must be an integer, got {self.panels!r}")
+        object.__setattr__(self, "panels", int(self.panels))
         if self.panels < 1:
             raise ValueError("grading needs at least one panel")
 

@@ -24,23 +24,20 @@ def report(number: int, ok: bool, text: str):
 def fig1_sweeps():
     u = get_example("example1-1d")
     start = time.perf_counter()
-    sweeps = {g: run_sweep(u, "legendre", g, FIGURES["fig1"]["params"])
-              for g in ((0,), (5,))}
+    sweeps = run_sweep(u, "legendre", [(0,), (5,)], FIGURES["fig1"]["params"])
     return sweeps, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def fig2_sweeps():
     u = get_example("example1-1d")
-    return {g: run_sweep(u, "step", g, FIGURES["fig2"]["params"])
-            for g in FIGURES["fig2"]["gammas"]}
+    return run_sweep(u, "step", FIGURES["fig2"]["gammas"], FIGURES["fig2"]["params"])
 
 
 @pytest.fixture(scope="module")
 def fig3_sweeps():
     w = get_example("example2-2d")
-    return {g: run_sweep(w, "legendre", g, FIGURES["fig3"]["params"])
-            for g in FIGURES["fig3"]["gammas"]}
+    return run_sweep(w, "legendre", FIGURES["fig3"]["gammas"], FIGURES["fig3"]["params"])
 
 
 def test_criterion_1_exact_recovery():

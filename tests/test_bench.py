@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from sobrecon import bench, projection
 from sobrecon.analytic import AnalyticFunction
 from sobrecon.bench import (
+    FIGURES,
     SweepResult,
     approximant,
     error_norms,
@@ -65,18 +68,18 @@ class TestSweep:
 
     def test_step_sweep_l2_halves_per_doubling(self):
         u = get_example("example1-1d")
-        r = run_sweep(u, "step", (0,), [8, 16, 32, 64])
+        r = run_sweep(u, "step", [(0,)], [8, 16, 32, 64])[(0,)]
         for a, b in zip(r.l2[:-1], r.l2[1:]):
             assert b == pytest.approx(a / 2, rel=0.05)
 
     def test_1d_w_norm_equals_s_norm(self):
         u = get_example("example1-1d")
-        r = run_sweep(u, "step", (1,), [4, 8, 16])
+        r = run_sweep(u, "step", [(1,)], [4, 8, 16])[(1,)]
         assert np.allclose(r.s, r.w, rtol=1e-13)
 
     def test_monotone_l2_trend(self):
         u = get_example("example1-1d")
-        r = run_sweep(u, "legendre", (5,), [2, 4, 8, 16, 32])
+        r = run_sweep(u, "legendre", [(5,)], [2, 4, 8, 16, 32])[(5,)]
         # no uptick beyond 5% and an overall drop below a tenth
         assert all(b <= a * 1.05 for a, b in zip(r.l2[:-1], r.l2[1:]))
         assert r.l2[-1] < 0.1 * r.l2[0]
@@ -84,21 +87,21 @@ class TestSweep:
     def test_rejects_unsorted_params(self):
         u = get_example("example1-1d")
         with pytest.raises(ValueError, match="increase strictly"):
-            run_sweep(u, "step", (0,), [8, 4])
+            run_sweep(u, "step", [(0,)], [8, 4])
 
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError, match="at least one"):
-            run_sweep(get_example("example1-1d"), "step", (0,), [])
+            run_sweep(get_example("example1-1d"), "step", [(0,)], [])
 
     def test_failures_recorded_and_sweep_continues(self):
         u = get_example("example1-1d")
-        r = run_sweep(u, "step", (0,), [2, 4, 8])
+        r = run_sweep(u, "step", [(0,)], [2, 4, 8])[(0,)]
         assert not r.failures
         # a target whose evaluator raises fails inside every point
         def broken(x):
             raise ValueError("evaluator failed")
         bad = run_sweep(dataclasses.replace(u, derivatives={(k,): broken for k in range(6)}),
-                        "step", (0,), [2, 4])
+                        "step", [(0,)], [2, 4])[(0,)]
         assert len(bad.failures) == 2
         assert all(math.isnan(v) for v in bad.l2)
         assert all(msg.startswith("ValueError: ") for _, msg in bad.failures)
@@ -107,7 +110,7 @@ class TestSweep:
         # no point could run, so the sweep refuses instead of recording
         # one failure per point
         with pytest.raises(ValueError, match=r"projection order \(6,\) exceeds smoothness"):
-            run_sweep(get_example("example1-1d"), "step", (6,), [2, 4])
+            run_sweep(get_example("example1-1d"), "step", [(6,)], [2, 4])
 
     def test_piecewise_constant_target_gets_a_two_node_rule(self):
         # deg u = deg approx = 0 would ask for a 1-node rule, which no
@@ -115,7 +118,7 @@ class TestSweep:
         pw = PiecewisePoly.from_cell_values(HyperRect.cube(1), [[0.0]], [1.0, -2.0])
         u = AnalyticFunction(HyperRect.cube(1), (0,), {(0,): pw},
                              breakpoints=((0.0,),), piece_degree=(0,))
-        r = run_sweep(u, "step", (0,), [1, 2, 4])
+        r = run_sweep(u, "step", [(0,)], [1, 2, 4])[(0,)]
         assert not r.failures
         assert r.l2[0] == pytest.approx(math.sqrt(4.5))
         assert r.l2[1] <= 1e-15 and r.l2[2] <= 1e-15
@@ -129,14 +132,119 @@ class TestSweep:
         # refused before any point runs, not recorded as failed points
         u = get_example("example1-1d")
         with pytest.raises(ValueError, match=match):
-            run_sweep(u, method, (0,), params)
+            run_sweep(u, method, [(0,)], params)
         with pytest.raises(ValueError, match=match):
             approximant(u, method, (0,), params[0])
 
     @pytest.mark.parametrize("method, param", [("legendre", 0), ("step", 1)])
     def test_least_parameter_runs(self, method, param):
-        r = run_sweep(get_example("example1-1d"), method, (0,), [param, 2])
+        r = run_sweep(get_example("example1-1d"), method, [(0,)], [param, 2])[(0,)]
         assert not r.failures
+
+
+def rows(result: SweepResult):
+    """Everything a sweep records but its runtimes."""
+    return result.params, result.l2, result.s, result.w, result.failures
+
+
+class Interrupt(BaseException):
+    """Escapes run_sweep, which records only Exception as a point failure."""
+
+
+class TestSweepByParameter:
+    """run_sweep runs every order at one parameter before the next, and the
+    orders share each weighted projection table for that parameter only."""
+
+    @pytest.mark.parametrize("method", ["legendre", "step"])
+    @pytest.mark.parametrize("name, orders", [
+        ("example1-1d", [(0,), (1,), (3,), (5,)]),
+        ("example2-2d", [(0, 0), (1, 1), (2, 2), (3, 3)]),
+    ])
+    def test_each_order_matches_its_own_sweep(self, name, orders, method):
+        u = get_example(name)
+        params = [2, 4, 8]
+        together = run_sweep(u, method, orders, params)
+        assert list(together) == orders
+        for g in orders:
+            assert rows(together[g]) == rows(run_sweep(u, method, [g], params)[g])
+            assert not together[g].failures
+
+    @pytest.mark.parametrize("figure, basis, built", [
+        ("fig1", "legendre_values", [8, 16]),
+        ("fig2", "step_values", [8, 16]),
+        # both axes of the 2-D cube: every trace with an active axis reads it
+        ("fig3", "legendre_values", [8, 8, 16, 16]),
+        ("fig4", "step_values", [8, 8, 16, 16]),
+    ])
+    def test_one_table_per_axis_and_parameter(self, figure, basis, built, monkeypatch):
+        preset = FIGURES[figure]
+        sizes, real = [], getattr(projection, basis)
+
+        def counted(size, x):
+            sizes.append(size)
+            return real(size, x)
+
+        monkeypatch.setattr(projection, basis, counted)
+        sweeps = run_sweep(get_example(preset["example"]), preset["method"],
+                           preset["gammas"], [8, 16])
+        assert not any(r.failures for r in sweeps.values())
+        assert sizes == built
+
+    @pytest.mark.parametrize("method, basis", [
+        ("legendre", "legendre_values"), ("step", "step_values")])
+    @pytest.mark.parametrize("fail", [None, RuntimeError, Interrupt])
+    def test_no_table_outlives_its_parameter(self, method, basis, fail, monkeypatch):
+        refs, alive_at_build, real = [], [], getattr(projection, basis)
+
+        def tracked(size, x):
+            alive_at_build.append(sum(r() is not None for r in refs))
+            table = real(size, x)
+            refs.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(projection, basis, tracked)
+        if fail is not None:
+            def fail_after_projecting(*args):
+                raise fail("norms failed")
+            monkeypatch.setattr(bench, "error_norms", fail_after_projecting)
+        u = get_example("example1-1d")
+        if fail is Interrupt:
+            with pytest.raises(Interrupt):
+                run_sweep(u, method, [(0,), (3,)], [4, 8, 16])
+            assert len(refs) == 1
+        else:
+            sweeps = run_sweep(u, method, [(0,), (3,)], [4, 8, 16])
+            failed = 0 if fail is None else 3
+            assert [len(r.failures) for r in sweeps.values()] == [failed, failed]
+            assert alive_at_build == [0, 0, 0]
+        assert all(r() is None for r in refs)
+
+    def test_projection_outside_a_sweep_keeps_no_table(self, monkeypatch):
+        refs, real = [], projection.legendre_values
+
+        def tracked(size, x):
+            table = real(size, x)
+            refs.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(projection, "legendre_values", tracked)
+        approximant(get_example("example2-2d"), "legendre", (2, 2), 8)
+        assert len(refs) == 2  # one per axis, shared by the traces
+        assert all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("orders, match", [
+        ((0,), r"must be a sequence such as \(0,\), got \[0\]"),
+        ([(0,), 1], r"must be a sequence such as \(0,\), got \[1\]"),
+        ([], "at least one projection order"),
+        ([(0,), (6,)], r"projection order \(6,\) exceeds smoothness"),
+        ([(0, 0)], "expected 1 entries"),
+    ])
+    def test_refuses_orders_before_any_point(self, orders, match, monkeypatch):
+        def no_point(*args):
+            raise AssertionError("a point ran")
+        monkeypatch.setattr(bench, "sweep_point", no_point)
+        with pytest.raises(ValueError, match=match):
+            run_sweep(get_example("example1-1d"), "step", orders, [2, 4])
 
 
 class TestDegreeSizedNormRule:

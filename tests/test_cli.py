@@ -60,6 +60,20 @@ class TestExpandCommand:
         code = main(["expand", "--example", "example1-1d", "--point", "0.5,0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("example, point, want", [
+        ("example1-1d", "0.5,0.5", "point needs 1 coordinates, got 2"),
+        ("example2-2d", "0.25", "point needs 2 coordinates, got 1"),
+        ("example1-1d", "1.5", "outside domain on axis 0: 1.5"),
+        ("example2-2d", "0.25,-1.5", "outside domain on axis 1: -1.5"),
+    ])
+    def test_refused_point_prints_only_the_error(self, example, point, want, capsys):
+        # the point is checked before the table title and header are printed
+        code = main(["expand", "--example", example, "--point", point])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and want in err
+
 
 class TestSweepCommand:
     def test_writes_csv_and_reports_slope(self, tmp_path, capsys):

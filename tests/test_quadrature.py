@@ -139,6 +139,17 @@ class TestAxisGrading:
         with pytest.raises(ValueError, match="grading center must be finite"):
             AxisGrading(center)
 
+    @pytest.mark.parametrize("panels", [2.5, 3.0, True, "3"])
+    def test_refuses_panels_that_are_not_an_integer(self, panels):
+        # panels=2.5 would build the 3-level rule without a word
+        with pytest.raises(ValueError, match="grading panels must be an integer"):
+            AxisGrading(0.0, panels=panels)
+
+    def test_numpy_integer_panels_become_int(self):
+        grading = AxisGrading(0.0, panels=np.int64(3))
+        assert grading == AxisGrading(0.0, panels=3)
+        assert type(grading.panels) is int
+
 
 class TestAxisQuadrature:
     def test_graded_panels_cluster_toward_center(self):
