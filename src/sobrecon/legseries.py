@@ -9,8 +9,12 @@ the hundreds are safe.  The recurrence fills each row of the basis table in
 place, so a degree-256 table on a fig1 grid costs its own 43 MB and no
 temporaries.  Values are read on tensor grids only (``eval_grid``,
 ``derivative_grids``): the coefficients are contracted with one basis table
-per axis by ``core.contract_axes``.  Every coefficient axis has at least one
-entry; a 0-d series is a plain value (a vertex trace).
+per axis by ``core.contract_axes``.  A grid read with ``derivative_grids``
+reuses these tables for every derivative order, and builds each order's
+coefficients once, by one derivative-matrix application to the stored
+coefficients of the next-lower order on the same prefix of axes.  Every
+coefficient axis has at least one entry; a 0-d series is a plain value (a
+vertex trace).
 """
 
 from __future__ import annotations
@@ -136,16 +140,32 @@ class LegendreSeries:
         """Yield D^alpha on the tensor grid spanned by one node array per
         axis, for each alpha in `indices` in order.  One basis table per
         axis serves every alpha: its leading rows are the table of the
-        lower-degree derivative."""
-        if len(axes) != self.ndim:
-            raise ValueError(f"expected {self.ndim} axis arrays")
+        lower-degree derivative.
+
+        The coefficients of D^alpha are those of its predecessor (alpha with
+        its last nonzero entry lowered by one) with one more derivative
+        matrix applied, as ``mixed_derivative`` makes them, so each is built
+        once per call from the stored predecessor."""
+        nd = self.ndim
+        if len(axes) != nd:
+            raise ValueError(f"expected {nd} axis arrays")
         domain = self.domain
         tables = []
         for i, x in enumerate(axes):
             domain.check_inside(i, np.asarray(x, float))
             tables.append(legendre_values(self.degree[i], x))
+        derivs = {(0,) * nd: self.coeffs}  # alpha -> coefficients of D^alpha
         for alpha in indices:
-            coeffs = self.mixed_derivative(alpha).coeffs
+            alpha = as_multiindex(alpha, ndim=nd)
+            chain = []  # (index, axis it was differentiated on last), not stored yet
+            while alpha not in derivs:
+                i = max(k for k, a in enumerate(alpha) if a)
+                chain.append((alpha, i))
+                alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            coeffs = derivs[alpha]
+            for alpha, i in reversed(chain):
+                coeffs = _apply_axis(coeffs, _derivative_matrix(coeffs.shape[i]), i)
+                derivs[alpha] = coeffs
             yield contract_axes(coeffs, [t[:n] for t, n in zip(tables, coeffs.shape)])
 
     def eval_grid(self, axes) -> np.ndarray:

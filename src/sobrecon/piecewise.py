@@ -16,10 +16,12 @@ Evaluation is by cell lookup: each node finds its cell once per axis
 (half-open cells, last cell closed), and the coefficient rows of those
 cells are contracted with the node's powers axis by axis.  A grid read
 with ``derivative_grids`` reuses these per-axis tables for every
-derivative order it is asked for.  Integration reuses the calculus: the
-exact integral is the antiderivative along each integrated axis read at the
-axis's upper end, and ``inner`` sums Gauss-weighted values with
-``core.contract_axes``.
+derivative order it is asked for, and computes each partial contraction
+once: after axes 0..i are read, the partial result depends only on the
+orders alpha_0..alpha_i, so every order with that prefix starts from it.
+Integration reuses the calculus: the exact integral is the antiderivative
+along each integrated axis read at the axis's upper end, and ``inner`` sums
+Gauss-weighted values with ``core.contract_axes``.
 
 The public constructor validates breaks and coefficient shapes.  Results of
 operations on valid polynomials are valid by construction and skip that
@@ -250,7 +252,10 @@ class PiecewisePoly:
 
         Each node's cell and its row of (x - corner)^k/k! are found once per
         axis; D^alpha then contracts, axis by axis, the coefficient rows
-        alpha_i.. of the nodes' cells with the leading power columns.
+        alpha_i.. of the nodes' cells with the leading power columns.  After
+        axes 0..i are read, the partial result depends on alpha[:i+1] only,
+        so each such stage is computed once per call and shared by every
+        alpha with that prefix.
         """
         nd = self.ndim
         if len(axes) != nd:
@@ -262,18 +267,26 @@ class PiecewisePoly:
             cells.append(idx)
             powers.append(_powers(x - self.edges(i)[idx], self.degree[i]))
         shape = tuple(len(idx) for idx in cells)
+        stages = {}  # alpha[:i+1] -> val after axes 0..i are read, for i < nd-1
         for alpha in indices:
             alpha = as_multiindex(alpha, ndim=nd)
             if any(a > d for a, d in zip(alpha, self.degree)):
                 yield np.zeros(shape)
                 continue
             # val: (cells_i.., degrees_i.., nodes_..i-1) before axis i is read.
-            val = self.coeffs
-            for i, a in enumerate(alpha):
+            start, val = 0, self.coeffs
+            for i in range(nd - 1, 0, -1):
+                if alpha[:i] in stages:
+                    start, val = i, stages[alpha[:i]]
+                    break
+            for i in range(start, nd):
                 rest = nd - i
-                val = np.take(val[(slice(None),) * rest + (slice(a, None),)], cells[i], axis=0)
-                val = np.einsum("nk,nk...->...n", powers[i][:, :self.degree[i] + 1 - a],
+                val = np.take(val[(slice(None),) * rest + (slice(alpha[i], None),)],
+                              cells[i], axis=0)
+                val = np.einsum("nk,nk...->...n", powers[i][:, :self.degree[i] + 1 - alpha[i]],
                                 np.moveaxis(val, rest, 1))
+                if i < nd - 1:
+                    stages[alpha[:i + 1]] = val
             yield val
 
     def eval_grid(self, axes) -> np.ndarray:

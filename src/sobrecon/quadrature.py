@@ -242,10 +242,14 @@ def error_components(f, g, indices, domain: HyperRect,
     components = {}
     for alpha in indices:
         values = next(f_grids)
-        if g_grids is not None:
-            values = values - next(g_grids)
-        _check_finite(values, axes)
-        components[alpha] = float(contract_axes(values * values, weights))
+        if g_grids is None:
+            _check_finite(values, axes)
+            squares = values * values  # an operand's own grid: never written
+        else:
+            squares = values - next(g_grids)
+            _check_finite(squares, axes)
+            squares *= squares
+        components[alpha] = float(contract_axes(squares, weights))
     return components
 
 

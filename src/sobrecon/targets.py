@@ -28,17 +28,28 @@ _C1 = 512.0 / 65835.0
 _E1 = 19.0 / 4.0
 
 
+def _horner(coef, x):
+    """The polynomial with coefficients coef[0], coef[1], ... (lowest degree
+    first) at x, with numpy ``polyval``'s operations in its order, so the
+    bits are those of ``Polynomial(coef)(x)``: coef[-1] + x*0, then
+    coef[j] + v*x.  Each coef[j] may be an array of x's shape."""
+    v = coef[-1] + x * 0
+    for j in range(len(coef) - 2, -1, -1):
+        v = coef[j] + v * x
+    return v
+
+
 def _example1_derivative(k: int):
-    poly = _P1 if k == 0 else _P1.deriv(k)
+    coef = (_P1 if k == 0 else _P1.deriv(k)).coef
     factor = _C1 * math.prod(_E1 - j for j in range(k))
     exponent = _E1 - k
     signed = k % 2 == 0  # odd-symmetric tail: even-order derivatives keep sign(s)
 
-    def ev(s, _poly=poly, _f=factor, _e=exponent, _signed=signed):
+    def ev(s, _coef=coef, _f=factor, _e=exponent, _signed=signed):
         s = np.asarray(s, float)
         mag = np.abs(s) ** _e
         tail = _f * (np.sign(s) * mag if _signed else mag)
-        return _poly(s) + tail
+        return _horner(_coef, s) + tail
 
     return ev
 
@@ -63,18 +74,23 @@ def example1() -> AnalyticFunction:
 _V_LEFT = Polynomial([-1 / 6, 5 / 6, 1 / 2, 1 / 6])
 _V_MID = Polynomial([-5 / 24, 7 / 12, 0.0, -1 / 6])
 _V_RIGHT = Polynomial([-1 / 4, 5 / 6, -1 / 2, 1 / 6])
-# _V_DERIVS[k]: the three branches of the k-th derivative of v.
-_V_DERIVS = [tuple(b if k == 0 else b.deriv(k) for b in (_V_LEFT, _V_MID, _V_RIGHT))
+# _V_COEFFS[k][j, b]: coefficient j of branch b (left, middle, right) of the
+# k-th derivative of v.
+_V_COEFFS = [np.stack([(b if k == 0 else b.deriv(k)).coef
+                       for b in (_V_LEFT, _V_MID, _V_RIGHT)], axis=1)
              for k in range(4)]
 
 
 def v_derivative(k: int, x):
-    """k-th derivative of the piecewise cubic factor v (k <= 3)."""
-    if not 0 <= k <= 3:
-        raise ValueError(f"v has derivatives of order 0..3, got {k}")
+    """k-th derivative of the piecewise cubic factor v (k <= 3).
+
+    Each node reads one branch: the left one below -1/2, the middle one on
+    the closed [-1/2, 1/2], the right one above 1/2."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= 3:
+        raise ValueError(f"v has derivatives of order 0..3, got {k!r}")
     x = np.asarray(x, float)
-    left, mid, right = (b(x) for b in _V_DERIVS[k])
-    return np.where(x < -0.5, left, np.where(np.abs(x) <= 0.5, mid, right))
+    branch = np.add(x >= -0.5, x > 0.5, dtype=np.intp)
+    return _horner(_V_COEFFS[k][:, branch], x)
 
 
 def example2() -> AnalyticFunction:

@@ -171,6 +171,27 @@ class TestTensor:
         for alpha, got in zip(indices, grids):
             assert np.array_equal(got, f.mixed_derivative(alpha).eval_grid(axes)), alpha
 
+    @pytest.mark.parametrize("shape", [(4,), (7, 3), (4, 3, 5)])
+    def test_derivative_grids_in_any_order_equal_single_reads(self, shape):
+        """Each derivative's coefficients are built from the stored ones of
+        the next-lower order; in any order, with repeats and with indices
+        above the degree, every yielded grid has the bits of a one-index
+        read.  Each yielded grid is overwritten before the next one is read,
+        so a grid that shared memory with an earlier one would fail."""
+        rng = np.random.default_rng(14)
+        f = LegendreSeries(rng.standard_normal(shape))
+        axes = [rng.uniform(-1, 1, n) for n in (8, 6, 5)[:len(shape)]]
+        lattice = multiindex_range(tuple(min(n, 4) for n in shape))
+        indices = lattice[::-1] + lattice + lattice[2::5]
+        grids = f.derivative_grids(indices, axes)
+        for alpha in indices:
+            got = next(grids)
+            want = f.derivative_grid(alpha, axes)
+            assert got.shape == want.shape, alpha
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), alpha
+            got[...] = np.nan
+        assert next(grids, None) is None
+
     def test_mixed_derivative_grid(self):
         rng = np.random.default_rng(9)
         f = LegendreSeries(rng.standard_normal((5, 5)))

@@ -110,6 +110,29 @@ class TestEval:
                 stored = f.coeffs[(Ellipsis,) + alpha]
                 assert np.max(np.abs(at_corners - stored)) <= 1e-13 * scale, alpha
 
+    @pytest.mark.parametrize("degree,n_breaks", [((4,), (3,)), ((3, 2), (2, 1)),
+                                                 ((2, 1, 2), (1, 2, 1))])
+    def test_derivative_grids_equal_single_reads(self, degree, n_breaks):
+        """A many-index read shares each partial contraction among the
+        indices with the same prefix; every grid it yields has the bits of
+        a one-index read, in any order, with repeats and with indices above
+        the degree.  Each yielded grid is overwritten before the next one is
+        read, so a grid that shared memory with an earlier one would fail."""
+        rng = np.random.default_rng(13)
+        nd = len(degree)
+        f = random_poly(rng, nd, degree, n_breaks)
+        axes = [rng.uniform(-1, 1, n) for n in (9, 6, 5)[:nd]]
+        lattice = multiindex_range(tuple(d + 1 for d in degree))
+        indices = lattice + lattice[::-1] + lattice[1::3]
+        grids = f.derivative_grids(indices, axes)
+        for alpha in indices:
+            got = next(grids)
+            want = f.derivative_grid(alpha, axes)
+            assert got.shape == want.shape, alpha
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), alpha
+            got[...] = np.nan
+        assert next(grids, None) is None
+
     def test_eval_grid_forms_no_one_hot_block(self):
         """256 cells of degree 5 on 5344 nodes: a dense (nodes, cells,
         degree+1) block would take 66 MB."""

@@ -271,6 +271,46 @@ class TestNorms:
         assert len(comp) == 6
         assert calls == [40]
 
+    def test_error_components_without_g_write_no_operand_grid(self):
+        """With g=None the squares go into a new array: the target's grid is
+        a read-only broadcast view, and an operand may yield a grid it keeps,
+        so only a fresh f - g is squared in place."""
+
+        class KeptGrid:
+            """Yields the same stored, writable grid for every index."""
+
+            def __init__(self, grid):
+                self.grid = grid
+
+            def derivative_grids(self, indices, axes):
+                for _ in indices:
+                    yield self.grid
+
+        rule = QuadratureRule(nodes=4, panels=2)
+        indices = multiindex_range((2, 1))
+        target = get_example("poly-random", seed=5, ndim=2, delta=(2, 1))
+        rng = np.random.default_rng(5)
+        poly = PiecewisePoly(HyperRect.cube(2), (np.array([-0.2]), np.array([0.3, 0.6])),
+                             rng.standard_normal((2, 3, 4, 3)))
+        for f in (target, poly):
+            first = error_components(f, None, indices, f.domain, rule)
+            assert error_components(f, None, indices, f.domain, rule) == first
+        axes, weights = grid_quadrature(target.domain, rule)
+        kept = rng.standard_normal(tuple(len(x) for x in axes))
+        before = kept.copy()
+        comp = error_components(KeptGrid(kept), None, indices, target.domain, rule)
+        assert np.array_equal(kept, before)
+        want = float(np.einsum("i,j,ij->", weights[0], weights[1], before * before))
+        for alpha in indices:
+            assert comp[alpha] == pytest.approx(want, rel=1e-13)
+        # with g the in-place square reads the difference, not an operand
+        diff = error_components(poly, KeptGrid(kept), indices, poly.domain, rule)
+        assert np.array_equal(kept, before)
+        for alpha, grid in zip(indices, poly.derivative_grids(indices, axes)):
+            want = float(np.einsum("i,j,ij->", weights[0], weights[1],
+                                   (grid - before) ** 2))
+            assert diff[alpha] == pytest.approx(want, rel=1e-13)
+
 
 class TestDcNorm:
     def test_monomial_value(self):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import active_axes, as_multiindex, face_spec, multiindex_range
@@ -98,6 +101,79 @@ class TestExample2:
                 up[axis] += 1
                 if tuple(up) in w.derivatives or (up[0] <= 3 and up[1] <= 3):
                     assert finite_difference_error(w, alpha, axis, pts) < 1e-5
+
+
+# Three-branch references: every Polynomial branch through its own
+# __call__, then np.where with the middle branch closed at +-1/2.
+_V_BRANCHES = (Polynomial([-1 / 6, 5 / 6, 1 / 2, 1 / 6]),
+               Polynomial([-5 / 24, 7 / 12, 0.0, -1 / 6]),
+               Polynomial([-1 / 4, 5 / 6, -1 / 2, 1 / 6]))
+_P1 = Polynomial([-413 / 1140, 29 / 90, -3 / 55, 17 / 210, 1 / 36])
+
+
+def v_reference(k, x):
+    x = np.asarray(x, float)
+    left, mid, right = ((b if k == 0 else b.deriv(k))(x) for b in _V_BRANCHES)
+    return np.where(x < -0.5, left, np.where(np.abs(x) <= 0.5, mid, right))
+
+
+def example1_reference(k, s):
+    s = np.asarray(s, float)
+    poly = _P1 if k == 0 else _P1.deriv(k)
+    e = 19.0 / 4.0
+    factor = 512.0 / 65835.0 * math.prod(e - j for j in range(k))
+    mag = np.abs(s) ** (e - k)
+    tail = factor * (np.sign(s) * mag if k % 2 == 0 else mag)
+    return poly(s) + tail
+
+
+def _edge_points():
+    """The branch ends, their float neighbours, +-0.0 and random interior points."""
+    half = [x for h in (-0.5, 0.5) for x in (np.nextafter(h, -2.0), h, np.nextafter(h, 2.0))]
+    rng = np.random.default_rng(20)
+    return np.array([-1.0, 1.0, 0.0, -0.0] + half + list(rng.uniform(-1, 1, 41)))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestEvaluatorsMatchPolynomialBranches:
+    """The evaluators read one branch per node by Horner's rule in numpy
+    polyval's order, so they match the three-branch Polynomial reference
+    bit for bit, on every shape the error norms and traces pass."""
+
+    @staticmethod
+    def shapes(x):
+        return [x[:, None], x[None, :]] + [np.asarray(p) for p in x]
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_v_derivative(self, k):
+        for x in self.shapes(_edge_points()):
+            _same_bits(v_derivative(k, x), v_reference(k, x))
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_example1_derivatives(self, k):
+        ev = example1().derivatives[(k,)]
+        with np.errstate(divide="ignore"):  # |s|^(-1/4) at s = 0
+            for x in self.shapes(_edge_points()):
+                _same_bits(ev(x), example1_reference(k, x))
+
+    def test_closed_middle_branch(self):
+        for x in (-0.5, 0.5):
+            _same_bits(v_derivative(3, x), -1.0)
+        _same_bits(v_derivative(3, np.nextafter(0.5, 1.0)), 1.0)
+        _same_bits(v_derivative(3, np.nextafter(-0.5, -1.0)), 1.0)
+
+    @pytest.mark.parametrize("k", [True, False, 1.5, 2.0, np.float64(1.0), -1, 4, "1"])
+    def test_v_derivative_refuses_bad_orders(self, k):
+        with pytest.raises(ValueError, match=r"v has derivatives of order 0\.\.3, got"):
+            v_derivative(k, np.zeros(3))
+
+    def test_v_derivative_accepts_numpy_integers(self):
+        _same_bits(v_derivative(np.int64(2), 0.3), v_reference(2, 0.3))
 
 
 class TestTraces:
