@@ -198,96 +198,90 @@ def fit_slope(result: SweepResult, norm: str = "l2", window=None) -> float:
 
 # ------------------------------------------------------------ figure presets
 
-#: Each figure's sweep and what its criteria read: the slope fits use the
-#: parameters in `window`, fig4's exact-recovery lines the point `exact_at`.
+#: Each figure's sweep and its criteria, one row per printed line:
+#: ("slope", gamma, norm, target, tol) fits the errors at the parameters in
+#: `window` and wants |slope - target| <= tol; ("drop", gamma, norm) wants
+#: last/first error < 1 and ("hold", gamma, norm) wants it >= 0.5;
+#: ("exact", gamma, norm, K) wants an error <= 1e-12 at parameter K.
 FIGURES = {
     "fig1": dict(example="example1-1d", method="legendre",
                  gammas=[(0,), (1,), (3,), (5,)],
-                 params=[2, 4, 8, 16, 32, 64, 128, 256], window=(16, 256)),
+                 params=[2, 4, 8, 16, 32, 64, 128, 256], window=(16, 256),
+                 criteria=[("slope", (0,), "l2", -5.0, 0.5),
+                           ("slope", (5,), "l2", -5.0, 0.5),
+                           ("slope", (5,), "s", -0.25, 0.15),
+                           ("hold", (0,), "s")]),
     "fig2": dict(example="example1-1d", method="step",
                  gammas=[(0,), (1,), (3,), (5,)],
-                 params=[2, 4, 8, 16, 32, 64, 128, 256], window=(16, 256)),
+                 params=[2, 4, 8, 16, 32, 64, 128, 256], window=(16, 256),
+                 criteria=[("slope", (0,), "l2", -1.0, 0.3),
+                           ("slope", (1,), "l2", -2.0, 0.4),
+                           ("slope", (3,), "l2", -2.0, 0.4),
+                           ("slope", (5,), "l2", -2.0, 0.4),
+                           ("drop", (5,), "s"),
+                           ("hold", (0,), "s"), ("hold", (1,), "s"), ("hold", (3,), "s")]),
     "fig3": dict(example="example2-2d", method="legendre",
                  gammas=[(0, 0), (1, 1), (2, 2), (3, 3)],
-                 params=[2, 4, 8, 16, 32], window=(2, 32)),
+                 params=[2, 4, 8, 16, 32], window=(2, 32),
+                 criteria=[("slope", (0, 0), "l2", -3.0, 0.6),
+                           ("slope", (1, 1), "l2", -3.0, 0.6),
+                           ("slope", (2, 2), "l2", -3.0, 0.6),
+                           ("slope", (3, 3), "l2", -3.0, 0.6),
+                           ("drop", (2, 2), "s"), ("drop", (3, 3), "s"),
+                           ("hold", (0, 0), "s"), ("hold", (1, 1), "s")]),
     "fig4": dict(example="example2-2d", method="step",
                  gammas=[(0, 0), (1, 1), (2, 2), (3, 3)],
-                 params=[2, 4, 8, 16, 32, 64], exact_at=4),
+                 params=[2, 4, 8, 16, 32, 64],
+                 criteria=[("exact", (3, 3), "l2", 4), ("exact", (3, 3), "s", 4)]),
 }
 
 
 def check_figure_params(figure: str, params):
     """Refuse a parameter list the figure's criteria cannot be read from:
-    fewer than three parameters in a slope window, or no exact-recovery
-    point, so that the refusal comes before any point runs."""
+    fewer than three parameters in the window of a slope row, or no point
+    K of an exact row, so that the refusal comes before any point runs."""
     preset = FIGURES[figure]
-    if "window" in preset:
-        lo, hi = preset["window"]
-        inside = [p for p in params if lo <= p <= hi]
-        if len(inside) < 3:
-            raise ValueError(f"{figure}'s slope criteria fit the parameters in "
-                             f"[{lo}, {hi}] and need at least 3 there, got {inside}")
-    if "exact_at" in preset and preset["exact_at"] not in params:
-        raise ValueError(f"{figure}'s exact-recovery criteria read K={preset['exact_at']}, "
-                         f"which {list(params)} does not contain")
+    for kind, _, _, *arg in preset["criteria"]:
+        if kind == "slope":
+            lo, hi = preset["window"]
+            inside = [p for p in params if lo <= p <= hi]
+            if len(inside) < 3:
+                raise ValueError(f"{figure}'s slope criteria fit the parameters in "
+                                 f"[{lo}, {hi}] and need at least 3 there, got {inside}")
+        if kind == "exact" and arg[0] not in params:
+            raise ValueError(f"{figure}'s exact-recovery criteria read K={arg[0]}, "
+                             f"which {list(params)} does not contain")
 
 
-def _slope_check(name, result, norm, window, target, tol) -> CheckResult:
-    slope = fit_slope(result, norm, window)
-    return CheckResult(
-        name, abs(slope - target) <= tol,
-        f"slope {slope:+.3f}, want {target:+g} +- {tol:g}")
-
-
-def _ratio_check(name, result, norm, decreasing: bool) -> CheckResult:
+def _criterion(figure: str, row, sweeps: dict) -> CheckResult:
+    """The pass/fail line of one criteria row of `figure`.  A slope row
+    whose window holds a failed or zero error fails with fit_slope's reason."""
+    kind, gamma, norm, *arg = row
+    result = sweeps[gamma]
+    if kind == "exact":
+        (k,) = arg
+        err = result.column(norm)[result.params.index(k)]
+        return CheckResult(f"{figure} exact recovery at K={k} ({norm.upper()})",
+                           err <= 1e-12, f"error {err:.2e}, want <= 1e-12")
+    label = {"slope": "slope", "drop": "decreasing", "hold": "non-decreasing"}[kind]
+    name = f"{figure} {norm.upper()} {label} gamma={gamma[0] if len(gamma) == 1 else gamma}"
+    if kind == "slope":
+        target, tol = arg
+        try:
+            slope = fit_slope(result, norm, FIGURES[figure]["window"])
+        except ValueError as exc:
+            return CheckResult(name, False, str(exc))
+        return CheckResult(name, abs(slope - target) <= tol,
+                           f"slope {slope:+.3f}, want {target:+g} +- {tol:g}")
     ratio = result.ratio(norm)
-    if decreasing:
+    if kind == "drop":
         return CheckResult(name, ratio < 1.0, f"last/first {ratio:.3g}, want < 1")
     return CheckResult(name, ratio >= 0.5, f"last/first {ratio:.3g}, want >= 0.5")
 
 
 def figure_criteria(figure: str, sweeps: dict) -> list[CheckResult]:
-    """Pass/fail lines for one figure's sweeps (keyed by gamma)."""
+    """Pass/fail lines for one figure's sweeps (keyed by gamma), one per row
+    of its `criteria`."""
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; have {sorted(FIGURES)}")
-    window = FIGURES[figure].get("window")
-    out = []
-    if figure == "fig1":
-        for g in ((0,), (5,)):
-            out.append(_slope_check(f"fig1 L2 slope gamma={g[0]}", sweeps[g],
-                                    "l2", window, -5.0, 0.5))
-        out.append(_slope_check("fig1 S slope gamma=5", sweeps[(5,)],
-                                "s", window, -0.25, 0.15))
-        out.append(_ratio_check("fig1 S non-decreasing gamma=0", sweeps[(0,)],
-                                "s", decreasing=False))
-    elif figure == "fig2":
-        out.append(_slope_check("fig2 L2 slope gamma=0", sweeps[(0,)],
-                                "l2", window, -1.0, 0.3))
-        for g in ((1,), (3,), (5,)):
-            out.append(_slope_check(f"fig2 L2 slope gamma={g[0]}", sweeps[g],
-                                    "l2", window, -2.0, 0.4))
-        out.append(_ratio_check("fig2 S decreasing gamma=5", sweeps[(5,)],
-                                "s", decreasing=True))
-        for g in ((0,), (1,), (3,)):
-            out.append(_ratio_check(f"fig2 S non-decreasing gamma={g[0]}", sweeps[g],
-                                    "s", decreasing=False))
-    elif figure == "fig3":
-        for g in ((0, 0), (1, 1), (2, 2), (3, 3)):
-            out.append(_slope_check(f"fig3 L2 slope gamma={g}", sweeps[g],
-                                    "l2", window, -3.0, 0.6))
-        for g in ((2, 2), (3, 3)):
-            out.append(_ratio_check(f"fig3 S decreasing gamma={g}", sweeps[g],
-                                    "s", decreasing=True))
-        for g in ((0, 0), (1, 1)):
-            out.append(_ratio_check(f"fig3 S non-decreasing gamma={g}", sweeps[g],
-                                    "s", decreasing=False))
-    else:  # fig4
-        k = FIGURES[figure]["exact_at"]
-        result = sweeps[(3, 3)]
-        idx = result.params.index(k)
-        l2, s = result.l2[idx], result.s[idx]
-        out.append(CheckResult(f"fig4 exact recovery at K={k} (L2)", l2 <= 1e-12,
-                               f"error {l2:.2e}, want <= 1e-12"))
-        out.append(CheckResult(f"fig4 exact recovery at K={k} (S)", s <= 1e-12,
-                               f"error {s:.2e}, want <= 1e-12"))
-    return out
+    return [_criterion(figure, row, sweeps) for row in FIGURES[figure]["criteria"]]

@@ -102,17 +102,17 @@ def cmd_expand(args) -> int:
         u.domain.check_inside(i, x)
     sizes = {"nodes": args.quad_nodes, "panels": args.quad_panels}
     rule = rule_for(u, QuadratureRule(**{k: v for k, v in sizes.items() if v is not None}))
+    traces = [u.boundary_trace(alpha, delta) for alpha in multiindex_range(delta)]
 
     print(f"expansion of {u.name or args.example} at point {point}, order {delta}")
     header = f"{'alpha':>12} {'face':>12} {'term':>24}"
     print(header)
     print("-" * len(header))
     total = 0.0
-    for alpha in multiindex_range(delta):
-        trace = u.boundary_trace(alpha, delta)
+    for trace in traces:
         term = term_at_point(trace, point, rule)
         total += term
-        print(f"{str(alpha):>12} {str(trace.face):>12} {term:>24.16e}")
+        print(f"{str(trace.alpha):>12} {str(trace.face):>12} {term:>24.16e}")
     direct = float(np.asarray(u(*point)))
     print("-" * len(header))
     print(f"{'sum':>12} {'':>12} {total:>24.16e}")

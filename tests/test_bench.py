@@ -11,7 +11,9 @@ from sobrecon.bench import (
     FIGURES,
     SweepResult,
     approximant,
+    check_figure_params,
     error_norms,
+    figure_criteria,
     fit_slope,
     norm_rule,
     run_sweep,
@@ -327,3 +329,89 @@ def test_csv_roundtrip(tmp_path):
     assert lines[0] == "param,l2_error,s_error,w_error,runtime_s"
     assert len(lines) == 4
     assert lines[1].startswith("2,1.0,")
+
+
+#: Per figure and gamma, the (L2, S) rates of geometric synthetic errors p**rate.
+RATES = {
+    "fig1": {(0,): (-5.0, 1.5), (1,): (-5.0, -1.0), (3,): (-5.0, -1.0), (5,): (-4.0, -0.25)},
+    "fig2": {(0,): (-1.0, 0.0), (1,): (-2.0, -0.1), (3,): (-2.0, -0.5), (5,): (-2.5, -0.5)},
+    "fig3": {(0, 0): (-3.5, 1.0), (1, 1): (-3.0, 0.0), (2, 2): (-2.0, -0.5),
+             (3, 3): (-3.0, 0.5)},
+    "fig4": {(0, 0): (-1.0, 0.0), (1, 1): (-2.0, -1.0), (2, 2): (-3.0, -2.0),
+             (3, 3): (-20.0, -10.0)},
+}
+
+
+def geometric_sweeps(figure):
+    params = FIGURES[figure]["params"]
+    return {g: SweepResult(list(params), [p**a for p in params], [p**b for p in params],
+                           [p**b for p in params], [0.0] * len(params))
+            for g, (a, b) in RATES[figure].items()}
+
+
+class TestFigureCriteria:
+    """Each figure's criteria lines, read from synthetic sweeps without
+    running any point."""
+
+    @pytest.mark.parametrize("figure, lines", [
+        ("fig1", [
+            "PASS fig1 L2 slope gamma=0 (slope -5.000, want -5 +- 0.5)",
+            "FAIL fig1 L2 slope gamma=5 (slope -4.000, want -5 +- 0.5)",
+            "PASS fig1 S slope gamma=5 (slope -0.250, want -0.25 +- 0.15)",
+            "PASS fig1 S non-decreasing gamma=0 (last/first 1.45e+03, want >= 0.5)",
+        ]),
+        ("fig2", [
+            "PASS fig2 L2 slope gamma=0 (slope -1.000, want -1 +- 0.3)",
+            "PASS fig2 L2 slope gamma=1 (slope -2.000, want -2 +- 0.4)",
+            "PASS fig2 L2 slope gamma=3 (slope -2.000, want -2 +- 0.4)",
+            "FAIL fig2 L2 slope gamma=5 (slope -2.500, want -2 +- 0.4)",
+            "PASS fig2 S decreasing gamma=5 (last/first 0.0884, want < 1)",
+            "PASS fig2 S non-decreasing gamma=0 (last/first 1, want >= 0.5)",
+            "PASS fig2 S non-decreasing gamma=1 (last/first 0.616, want >= 0.5)",
+            "FAIL fig2 S non-decreasing gamma=3 (last/first 0.0884, want >= 0.5)",
+        ]),
+        ("fig3", [
+            "PASS fig3 L2 slope gamma=(0, 0) (slope -3.500, want -3 +- 0.6)",
+            "PASS fig3 L2 slope gamma=(1, 1) (slope -3.000, want -3 +- 0.6)",
+            "FAIL fig3 L2 slope gamma=(2, 2) (slope -2.000, want -3 +- 0.6)",
+            "PASS fig3 L2 slope gamma=(3, 3) (slope -3.000, want -3 +- 0.6)",
+            "PASS fig3 S decreasing gamma=(2, 2) (last/first 0.25, want < 1)",
+            "FAIL fig3 S decreasing gamma=(3, 3) (last/first 4, want < 1)",
+            "PASS fig3 S non-decreasing gamma=(0, 0) (last/first 16, want >= 0.5)",
+            "PASS fig3 S non-decreasing gamma=(1, 1) (last/first 1, want >= 0.5)",
+        ]),
+        ("fig4", [
+            "PASS fig4 exact recovery at K=4 (L2) (error 9.09e-13, want <= 1e-12)",
+            "FAIL fig4 exact recovery at K=4 (S) (error 9.54e-07, want <= 1e-12)",
+        ]),
+    ])
+    def test_every_line(self, figure, lines):
+        # perfbench compares each criteria line's text exactly
+        assert [c.line() for c in figure_criteria(figure, geometric_sweeps(figure))] == lines
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0])
+    def test_unreadable_slope_row_fails_alone(self, bad):
+        # a failed point (NaN) or a zero error in the window fails only the
+        # slope rows that read it; every other row is still read
+        sweeps = geometric_sweeps("fig1")
+        at = sweeps[(5,)].params.index(64)
+        sweeps[(5,)].l2[at] = sweeps[(5,)].s[at] = bad
+        reason = "(window (16, 256) contains zero/invalid errors)"
+        assert [c.line() for c in figure_criteria("fig1", sweeps)] == [
+            "PASS fig1 L2 slope gamma=0 (slope -5.000, want -5 +- 0.5)",
+            "FAIL fig1 L2 slope gamma=5 " + reason,
+            "FAIL fig1 S slope gamma=5 " + reason,
+            "PASS fig1 S non-decreasing gamma=0 (last/first 1.45e+03, want >= 0.5)",
+        ]
+
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_rows_are_well_formed(self, figure):
+        preset = FIGURES[figure]
+        for kind, gamma, norm, *arg in preset["criteria"]:
+            assert kind in ("slope", "drop", "hold", "exact")
+            assert norm in ("l2", "s")
+            assert gamma in preset["gammas"]
+            assert len(arg) == {"slope": 2, "exact": 1}.get(kind, 0)
+            if kind == "slope":
+                assert "window" in preset
+        check_figure_params(figure, preset["params"])

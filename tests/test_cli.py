@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from sobrecon import bench
 from sobrecon.cli import main
 
 
@@ -75,6 +76,19 @@ class TestExpandCommand:
         assert err.startswith("error: ") and want in err
 
 
+    @pytest.mark.parametrize("example, point, delta, want", [
+        ("example1-1d", "0.5", "6", "expansion order (6,) exceeds smoothness (5,)"),
+        ("example2-2d", "0.25,-0.5", "4,1", "expansion order (4, 1) exceeds smoothness (3, 3)"),
+    ])
+    def test_order_above_smoothness_prints_only_the_error(self, example, point, delta,
+                                                          want, capsys):
+        code = main(["expand", "--example", example, "--point", point, "--delta", delta])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {want}\n"
+
+
 class TestSweepCommand:
     def test_writes_csv_and_reports_slope(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
@@ -112,6 +126,29 @@ class TestReproduceCommand:
         assert "PASS fig4 exact recovery at K=4 (L2)" in out
         assert "PASS fig4 exact recovery at K=4 (S)" in out
         assert (tmp_path / "example2-2d_step_gamma3-3.csv").exists()
+
+    def test_failed_point_prints_every_criteria_line(self, tmp_path, capsys, monkeypatch):
+        # one failed point in the slope window fails the slope rows that read
+        # it, with fit_slope's reason; every other row is still printed
+        real = bench.sweep_point
+
+        def fail_at_64(u, method, gamma, param):
+            if gamma == (5,) and param == 64:
+                raise RuntimeError("no point")
+            return real(u, method, gamma, param)
+
+        monkeypatch.setattr(bench, "sweep_point", fail_at_64)
+        code = main(["reproduce", "fig1", "--degrees", "16,32,64", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ""
+        assert "  point 64 failed: RuntimeError: no point\n" in out
+        lines = out.split("\nfig1 criteria:\n")[1].splitlines()
+        reason = "(window (16, 256) contains zero/invalid errors)"
+        assert [ln.split(" (")[0] for ln in lines] == [
+            "  PASS fig1 L2 slope gamma=0", "  FAIL fig1 L2 slope gamma=5",
+            "  FAIL fig1 S slope gamma=5", "  PASS fig1 S non-decreasing gamma=0"]
+        assert lines[1].endswith(reason) and lines[2].endswith(reason)
 
     @pytest.mark.parametrize("argv, need", [
         (["reproduce", "fig4", "--cells", "2,8"], "read K=4"),
