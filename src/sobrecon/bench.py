@@ -57,8 +57,11 @@ class SweepResult:
             raise ValueError(f"unknown norm {norm!r}; use l2, s, or w") from None
 
     def ratio(self, norm: str) -> float:
-        """Last error over first error (drop of the curve across the sweep)."""
+        """Last error over first error (drop of the curve across the sweep);
+        a first error of 0 has no ratio and raises ValueError."""
         col = self.column(norm)
+        if col[0] == 0.0:
+            raise ValueError("first error is 0, last/first is undefined")
         return col[-1] / col[0]
 
 
@@ -255,7 +258,8 @@ def check_figure_params(figure: str, params):
 
 def _criterion(figure: str, row, sweeps: dict) -> CheckResult:
     """The pass/fail line of one criteria row of `figure`.  A slope row
-    whose window holds a failed or zero error fails with fit_slope's reason."""
+    whose window holds a failed or zero error, and a ratio row whose first
+    error is 0, fail with the reason fit_slope or ratio gives."""
     kind, gamma, norm, *arg = row
     result = sweeps[gamma]
     if kind == "exact":
@@ -265,18 +269,18 @@ def _criterion(figure: str, row, sweeps: dict) -> CheckResult:
                            err <= 1e-12, f"error {err:.2e}, want <= 1e-12")
     label = {"slope": "slope", "drop": "decreasing", "hold": "non-decreasing"}[kind]
     name = f"{figure} {norm.upper()} {label} gamma={gamma[0] if len(gamma) == 1 else gamma}"
+    try:
+        value = (fit_slope(result, norm, FIGURES[figure]["window"]) if kind == "slope"
+                 else result.ratio(norm))
+    except ValueError as exc:
+        return CheckResult(name, False, str(exc))
     if kind == "slope":
         target, tol = arg
-        try:
-            slope = fit_slope(result, norm, FIGURES[figure]["window"])
-        except ValueError as exc:
-            return CheckResult(name, False, str(exc))
-        return CheckResult(name, abs(slope - target) <= tol,
-                           f"slope {slope:+.3f}, want {target:+g} +- {tol:g}")
-    ratio = result.ratio(norm)
+        return CheckResult(name, abs(value - target) <= tol,
+                           f"slope {value:+.3f}, want {target:+g} +- {tol:g}")
     if kind == "drop":
-        return CheckResult(name, ratio < 1.0, f"last/first {ratio:.3g}, want < 1")
-    return CheckResult(name, ratio >= 0.5, f"last/first {ratio:.3g}, want >= 0.5")
+        return CheckResult(name, value < 1.0, f"last/first {value:.3g}, want < 1")
+    return CheckResult(name, value >= 0.5, f"last/first {value:.3g}, want >= 0.5")
 
 
 def figure_criteria(figure: str, sweeps: dict) -> list[CheckResult]:

@@ -43,9 +43,9 @@ def as_multiindex(alpha: Sequence[int] | int, ndim: int | None = None) -> MultiI
     out = tuple(int(a) for a in alpha)
     if len(out) < 1:
         raise ValueError("multi-index must have at least one entry")
-    if any(a != b for a, b in zip(out, alpha)):
+    if out != tuple(alpha):
         raise ValueError(f"multi-index entries must be integers, got {alpha!r}")
-    if any(a < 0 for a in out):
+    if min(out) < 0:
         raise ValueError(f"multi-index entries must be >= 0, got {out}")
     if ndim is not None and len(out) != ndim:
         raise ValueError(f"expected {ndim} entries, got {len(out)}")
@@ -134,7 +134,7 @@ class TraceFunction:
     function of the face's active axes, every other axis pinned at its lower
     endpoint.
 
-    `f` needs only `domain` and `derivative_grid(alpha, axes)` (PiecewisePoly,
+    `f` needs only `domain` and `derivative_grids(indices, axes)` (PiecewisePoly,
     LegendreSeries, AnalyticFunction).  Face, alpha and f fix one summand of
     the expansion, so a reader needs nothing else.
     """
@@ -151,14 +151,22 @@ class TraceFunction:
         """Values on the tensor grid spanned by one node array per active
         axis; each pinned axis is read as the one-node array [domain.lo[i]]
         and squeezed out, so a vertex face reads eval_grid([]) as 0-d."""
-        active = self.active
-        if len(axes) != len(active):
-            raise ValueError(f"expected {len(active)} axes, got {len(axes)}")
-        lo = self.f.domain.lo
-        it = iter(axes)
-        full = [next(it) if b == 0 else np.array([lo[i]]) for i, b in enumerate(self.face)]
-        pinned = tuple(i for i, b in enumerate(self.face) if b < 0)
-        return np.squeeze(self.f.derivative_grid(self.alpha, full), axis=pinned)
+        return next(face_grids([self], axes))
+
+
+def face_grids(traces: Sequence[TraceFunction], axes: Sequence[np.ndarray]):
+    """Yield eval_grid(axes) of each trace in order, for traces of one
+    function on one face, from one derivative_grids read of that function:
+    its per-axis tables (and a LegendreSeries' derivatives) are built once."""
+    first = traces[0]
+    if len(axes) != len(first.active):
+        raise ValueError(f"expected {len(first.active)} axes, got {len(axes)}")
+    it = iter(axes)
+    full = [next(it) if b == 0 else np.array([first.f.domain.lo[i]])
+            for i, b in enumerate(first.face)]
+    pinned = tuple(i for i, b in enumerate(first.face) if b < 0)
+    for values in first.f.derivative_grids([t.alpha for t in traces], full):
+        yield np.squeeze(values, axis=pinned)
 
 
 def boundary_trace(f, alpha, order) -> TraceFunction:

@@ -8,26 +8,21 @@ order), or a Volterra integral with kernel z^(k-1)/(k-1)! (at top order),
 which for polynomial inputs reduces to repeated exact antidifferentiation.
 
 Trace functions are carried on the full domain, constant along their
-face-inactive axes (the constant extension the tensor operators act on), as
-PiecewisePoly values or as LegendreSeries on the standard hypercube.  Both
-supply the two calculus maps the operators need, multiply_kernel and the
-a-fold antiderivative, so one reconstruction serves both representations.
-The way back, extract_traces_poly, and the exact bundle norm take
-PiecewisePoly only.
+face-inactive axes, as PiecewisePoly values or as LegendreSeries on the
+standard hypercube.  Both supply the maps the operators need
+(multiply_kernel, the a-fold antiderivative, +), so one reconstruction
+serves both.  reconstruct puts piecewise entries on one break grid, the
+union of all entries' breaks, before any lift, then applies the operators
+axis by axis, last axis first, summing the terms that share their orders on
+the axes not yet lifted (sum factorization).  The way back,
+extract_traces_poly, and the exact bundle norm take PiecewisePoly only.
 
-Inputs are validated at the public boundary: apply_tensor checks its
-indices, and the PolyTraceBundle constructor its lattice, entry types and
-faces.  Internal paths pass normalized tuples and skip the re-validation.
-reconstruct's lift does not re-check the entries of an already validated
-bundle, and it applies an a-fold Volterra lift in one antiderivative(axis, a)
-call.  The bundles that extract_traces_poly, scaled and + build are valid
-by construction and skip the constructor's checks.
-
-Every function kind (PiecewisePoly, LegendreSeries, AnalyticFunction) also
-gives its traces one at a time through core.boundary_trace, as a
-TraceFunction(face, f, alpha) read with eval_grid: that is how dc_error
-compares a target with its approximant, and how term_at_point evaluates one
-summand of the expansion from the trace alone.
+Inputs are validated at the public boundary (apply_tensor's indices, the
+PolyTraceBundle constructor's lattice, entry types and faces); bundles that
+extract_traces_poly, scaled and + build are valid by construction.  Every
+function kind also gives its traces through core.boundary_trace, as a
+TraceFunction(face, f, alpha): that is how dc_error compares a target with
+its approximant, and how term_at_point evaluates one summand.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from .core import (
     multiindex_range,
 )
 from .legseries import LegendreSeries
-from .piecewise import PiecewisePoly, sum_terms
+from .piecewise import PiecewisePoly, common_breaks
 
 
 Trace = PiecewisePoly | LegendreSeries
@@ -69,17 +64,17 @@ def apply_tensor(alpha, delta, f: Trace) -> Trace:
     delta = as_multiindex(delta, ndim=len(alpha))
     if not leq(alpha, delta):
         raise ValueError(f"alpha={alpha} is not <= delta={delta}")
-    return _lift(alpha, delta, f)
-
-
-def _lift(alpha: MultiIndex, delta: MultiIndex, f: Trace) -> Trace:
-    """apply_tensor on normalized indices with alpha <= delta, unchecked."""
     for axis, (a, d) in enumerate(zip(alpha, delta)):
-        if a < d:
-            f = f.multiply_kernel(axis, a)
-        elif a:
-            f = f.antiderivative(axis, a)
+        f = _axis_lift(f, axis, a, d)
     return f
+
+
+def _axis_lift(f: Trace, axis: int, a: int, d: int) -> Trace:
+    """The operator of one axis, order a of top order d: the kernel z^a/a!
+    below top order, else the a-fold Volterra lift (the identity at a = 0)."""
+    if a < d:
+        return f.multiply_kernel(axis, a)
+    return f.antiderivative(axis, a) if a else f
 
 
 @functools.lru_cache(maxsize=64)
@@ -166,16 +161,28 @@ class PolyTraceBundle:
 
 def reconstruct(bundle: PolyTraceBundle) -> Trace:
     """Sum of the lifted traces, in the representation of the entries; the
-    inverse of extract_traces_poly.
+    inverse of extract_traces_poly, exactly so for piecewise entries.
 
-    Piecewise terms are added as they are lifted, each break grid refined
-    once (see sum_terms), instead of refining a running total per term.
+    Piecewise entries are first put on the union of all entries' breaks
+    along their active axes.  Then, for axis j from last to first, the terms
+    that share alpha[:j] are lifted on axis j and summed in order alpha_j =
+    0..delta_j: the kernel lifts of the pinned terms on their single cell
+    (each fills its own coefficient slot), that sum refined once onto the
+    union cells, then the delta_j-fold Volterra lift of the top term.  Axis
+    j takes one operator per prefix alpha[:j+1] (sum factorization).
     """
-    lattice = multiindex_range(bundle.order)
-    terms = (_lift(alpha, bundle.order, bundle.entries[alpha]) for alpha in lattice)
-    if isinstance(bundle.entries[lattice[0]], LegendreSeries):
-        return functools.reduce(operator.add, terms)
-    return sum_terms(terms)
+    order = bundle.order
+    level = bundle.entries  # alpha[:j+1] -> sum of the lifts on axes j+1..
+    if isinstance(level[(0,) * len(order)], PiecewisePoly):
+        grid = common_breaks(level.values())
+        level = {alpha: level[alpha].on_breaks(grid, active_axes(face))
+                 for alpha, face in _lattice_faces(order)}
+    for j in reversed(range(len(order))):
+        d = order[j]
+        level = {prefix: functools.reduce(operator.add, (
+                     _axis_lift(level[prefix + (a,)], j, a, d) for a in range(d + 1)))
+                 for prefix in dict.fromkeys(alpha[:j] for alpha in level)}
+    return level[()]
 
 
 def check_membership(u: PiecewisePoly, delta):
@@ -208,13 +215,8 @@ def extract_traces_poly(u: PiecewisePoly, delta) -> PolyTraceBundle:
     check_membership)."""
     delta = as_multiindex(delta, ndim=u.ndim)
     check_membership(u, delta)
-    entries = {}
-    for alpha, face in _lattice_faces(delta):
-        d = u
-        for axis, a in enumerate(alpha):  # mixed_derivative, alpha already normalized
-            d = d.derivative(axis, a)
-        entries[alpha] = d.restrict(face)
-    return PolyTraceBundle._make(delta, entries)
+    return PolyTraceBundle._make(delta, {alpha: u.mixed_derivative(alpha).restrict(face)
+                                         for alpha, face in _lattice_faces(delta)})
 
 
 def fund_int_pair(k: int, top: int, v: PiecewisePoly):

@@ -19,9 +19,12 @@ with ``derivative_grids`` reuses these per-axis tables for every
 derivative order it is asked for, and computes each partial contraction
 once: after axes 0..i are read, the partial result depends only on the
 orders alpha_0..alpha_i, so every order with that prefix starts from it.
-Integration reuses the calculus: the exact integral is the antiderivative
-along each integrated axis read at the axis's upper end, and ``inner`` sums
-Gauss-weighted values with ``core.contract_axes``.
+Sums and comparisons first put their operands on the union of their breaks
+(``common_breaks``, ``on_breaks``), re-anchoring each piece at the corners
+of the finer cells it covers.  Integration reuses the calculus: the exact
+integral is the antiderivative along each integrated axis read at the
+axis's upper end, and ``inner`` sums Gauss-weighted values with
+``core.contract_axes``.
 
 The public constructor validates breaks and coefficient shapes.  Results of
 operations on valid polynomials are valid by construction and skip that
@@ -68,8 +71,9 @@ def _shift_matrices(h: np.ndarray, degree: int) -> np.ndarray:
     In the scaled-monomial basis the new coefficients are the derivatives at
     the new anchor, b_p = sum_k a_k h^(k-p)/(k-p)!.
     """
-    mask, lag = _shift_lags(degree)
-    return np.where(mask, _powers(h, degree)[:, lag], 0.0)
+    powers = np.zeros((len(h), degree + 2))  # a zero column for k < p
+    powers[:, :-1] = _powers(h, degree)
+    return powers[:, _shift_lags(degree)]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -81,10 +85,10 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _shift_lags(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where k - p >= 0, and max(k - p, 0), for p, k = 0..degree (shared, read-only)."""
+def _shift_lags(degree: int) -> np.ndarray:
+    """k - p where k >= p, else degree + 1, for p, k = 0..degree (shared, read-only)."""
     lag = np.subtract.outer(np.arange(degree + 1), np.arange(degree + 1)).T  # k - p
-    return _read_only(lag >= 0, np.maximum(lag, 0))
+    return _read_only(np.where(lag >= 0, lag, degree + 1))[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,22 +303,17 @@ class PiecewisePoly:
         """Cellwise derivative along one axis (a.e. derivative for step pieces)."""
         if order < 0:
             raise ValueError(f"derivative order must be non-negative, got {order}")
-        if order == 0:
-            return self
-        dax = self.ndim + axis
-        if order > self.degree[axis]:
-            shape = list(self.coeffs.shape)
-            shape[dax] = 1
-            return PiecewisePoly._make(self.domain, self.breaks, np.zeros(shape))
-        slc = [slice(None)] * self.coeffs.ndim
-        slc[dax] = slice(order, None)
-        return PiecewisePoly._make(self.domain, self.breaks, self.coeffs[tuple(slc)].copy())
+        return self.mixed_derivative(tuple(order if i == axis else 0 for i in range(self.ndim)))
 
     def mixed_derivative(self, alpha) -> "PiecewisePoly":
-        out = self
-        for i, a in enumerate(as_multiindex(alpha, ndim=self.ndim)):
-            out = out.derivative(i, a)
-        return out
+        """D^alpha, cell by cell: one slice of the coefficient rows alpha_i..
+        on every axis at once (zero when some alpha_i exceeds the degree)."""
+        alpha = as_multiindex(alpha, ndim=self.ndim)
+        if not any(alpha):
+            return self
+        rows = self.coeffs[(slice(None),) * self.ndim + tuple(slice(a, None) for a in alpha)]
+        rows = np.zeros([max(n, 1) for n in rows.shape]) if rows.size == 0 else rows.copy()
+        return PiecewisePoly._make(self.domain, self.breaks, rows)
 
     def derivative_grid(self, alpha, axes) -> np.ndarray:
         return next(self.derivative_grids([alpha], axes))
@@ -341,9 +340,9 @@ class PiecewisePoly:
             b = np.zeros(shape)
             arr = b.transpose(perm)  # (cells, deg+2, ...)
             arr[:, 1:] = prev
-            vals = np.einsum("ck,ck...->c...", powers[:, :d + fold + 2], arr)
-            offsets = np.cumsum(vals, axis=0)
-            arr[1:, 0, ...] += offsets[:-1]
+            if len(powers) > 1:  # each cell starts where the one below ends
+                vals = np.einsum("ck,ck...->c...", powers[:, :d + fold + 2], arr)
+                arr[1:, 0, ...] += np.cumsum(vals, axis=0)[:-1]
             prev = arr
         return PiecewisePoly._make(self.domain, self.breaks, b)
 
@@ -358,8 +357,16 @@ class PiecewisePoly:
         """
         if k == 0:
             return self
+        nd, d = self.ndim, self.degree[axis]
+        if self.cell_counts[axis] == 1:  # h = 0: slot m goes to m + k, times binom(m+k, m)
+            out = np.zeros(self.coeffs.shape[:nd + axis] + (d + k + 1,)
+                           + self.coeffs.shape[nd + axis + 1:])
+            weights = _binomials(d + k)[np.arange(k, d + k + 1), np.arange(d + 1)]
+            out[(slice(None),) * (nd + axis) + (slice(k, None),)] = (
+                self.coeffs * weights.reshape((-1,) + (1,) * (nd - 1 - axis)))
+            return PiecewisePoly._make(self.domain, self.breaks, out)
         kern = _powers(self.edges(axis)[:-1] - self.domain.lo[axis], k)[:, ::-1]
-        mask, lag, binomials = _kernel_lags(self.degree[axis], k)
+        mask, lag, binomials = _kernel_lags(d, k)
         conv = np.where(mask, binomials * kern[:, lag], 0.0)
         return PiecewisePoly._make(self.domain, self.breaks, _cellwise(self.coeffs, axis, conv))
 
@@ -432,30 +439,33 @@ class PiecewisePoly:
 
     # -------------------------------------------------------------- arithmetic
 
-    def _refine_axis(self, axis: int, extra: np.ndarray) -> "PiecewisePoly":
-        """This polynomial with the breaks ``extra`` (strictly increasing and
-        inside the domain) added along one axis."""
-        new_breaks = _union(self.breaks[axis], extra)
-        if new_breaks.size == self.breaks[axis].size:
-            return self
-        lo, hi = self.domain.lo[axis], self.domain.hi[axis]
-        new_edges = np.concatenate(([lo], new_breaks, [hi]))
-        parent = self._locate(axis, 0.5 * (new_edges[:-1] + new_edges[1:]))
-        h = new_edges[:-1] - self.edges(axis)[parent]
-        out = _cellwise(np.take(self.coeffs, parent, axis=axis), axis,
-                        _shift_matrices(h, self.degree[axis]))
-        breaks = list(self.breaks)
-        breaks[axis] = new_breaks
-        return PiecewisePoly._make(self.domain, tuple(breaks), out)
+    def on_breaks(self, breaks, axes=None) -> "PiecewisePoly":
+        """This polynomial on the finer break grid ``breaks`` (one array per
+        axis, holding this polynomial's own breaks) along ``axes`` (every
+        axis by default): each piece is re-anchored at the corners of the
+        cells it covers, and a piece of degree 0 along an axis is copied."""
+        out = self
+        for i in range(self.ndim) if axes is None else axes:
+            if breaks[i].size == out.breaks[i].size:
+                continue
+            new_edges = np.concatenate(([self.domain.lo[i]], breaks[i], [self.domain.hi[i]]))
+            parent = out._locate(i, 0.5 * (new_edges[:-1] + new_edges[1:]))
+            coeffs = np.take(out.coeffs, parent, axis=i)
+            if out.degree[i]:
+                h = new_edges[:-1] - out.edges(i)[parent]
+                coeffs = _cellwise(coeffs, i, _shift_matrices(h, out.degree[i]))
+            out = PiecewisePoly._make(self.domain, out.breaks[:i] + (breaks[i],)
+                                      + out.breaks[i + 1:], coeffs)
+        return out
 
     def __add__(self, other):
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
         if self.domain != other.domain:
             raise ValueError("operands live on different domains")
-        breaks = tuple(_union(a, b) for a, b in zip(self.breaks, other.breaks))
         degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
-        return _accumulate(_zeros(self.domain, breaks, degree), (self, other))
+        return _accumulate(_zeros(self.domain, common_breaks((self, other)), degree),
+                           (self, other))
 
     def __rmul__(self, scalar):
         if not np.isscalar(scalar):
@@ -501,47 +511,18 @@ def _zeros(domain: HyperRect, breaks: tuple[np.ndarray, ...],
 def _accumulate(total: PiecewisePoly, terms: Iterable[PiecewisePoly]) -> PiecewisePoly:
     """Add each term, re-expressed on total's break grid, into total's
     coefficients in place; returns total.  Every term's breaks must be among
-    total's and its degree at most total's, so a term with as many breaks as
-    total on an axis already has total's grid there and is not refined."""
+    total's and its degree at most total's."""
     nd = total.ndim
     for t in terms:
-        for i in range(nd):
-            if t.breaks[i].size != total.breaks[i].size:
-                t = t._refine_axis(i, total.breaks[i])
+        t = t.on_breaks(total.breaks)
         total.coeffs[(slice(None),) * nd + tuple(slice(0, d + 1) for d in t.degree)] += t.coeffs
     return total
 
 
-def sum_terms(terms: Iterable[PiecewisePoly]) -> PiecewisePoly:
-    """Sum of piecewise polynomials on one domain, refining each grid once.
-
-    Terms that share a break grid are added on that grid as they arrive.
-    Each of these partial sums is then re-expressed on the union of all
-    grids and added into one coefficient array, so a generator of terms
-    keeps one partial sum per distinct grid in memory, not every term.
-    """
-    partial = {}  # break grid -> partial sum, in an array owned here
-    domain = None
-    for t in terms:
-        if domain is None:
-            domain = t.domain
-        elif t.domain != domain:
-            raise ValueError("terms live on different domains")
-        key = tuple(b.tobytes() for b in t.breaks)
-        acc = partial.get(key)
-        if acc is None or any(a > b for a, b in zip(t.degree, acc.degree)):
-            degree = t.degree if acc is None else tuple(map(max, t.degree, acc.degree))
-            acc = _accumulate(_zeros(t.domain, t.breaks, degree), () if acc is None else (acc,))
-        partial[key] = _accumulate(acc, (t,))
-    if not partial:
-        raise ValueError("no terms to sum")
-    sums = list(partial.values())
-    if len(sums) == 1:
-        return sums[0]
-    axes = range(domain.ndim)
-    breaks = tuple(functools.reduce(_union, (f.breaks[i] for f in sums)) for i in axes)
-    degree = tuple(max(f.degree[i] for f in sums) for i in axes)
-    return _accumulate(_zeros(domain, breaks, degree), sums)
+def common_breaks(polys: Iterable[PiecewisePoly]) -> tuple[np.ndarray, ...]:
+    """The union of the polynomials' break arrays, axis by axis: the
+    coarsest break grid that every one of them can be put on (on_breaks)."""
+    return tuple(functools.reduce(_union, axis) for axis in zip(*(f.breaks for f in polys)))
 
 
 def coeff_distance(f: PiecewisePoly, g: PiecewisePoly) -> float:
@@ -549,15 +530,10 @@ def coeff_distance(f: PiecewisePoly, g: PiecewisePoly) -> float:
     largest coefficient magnitude of either operand (0-safe)."""
     if f.domain != g.domain:
         raise ValueError("operands live on different domains")
-    breaks = tuple(_union(x, y) for x, y in zip(f.breaks, g.breaks))
+    breaks = common_breaks((f, g))
     degree = tuple(max(x, y) for x, y in zip(f.degree, g.degree))
-
-    def on_union(h):
-        # an operand already on the union grid at the common degree is read as it is
-        if h.degree == degree and all(x.size == y.size for x, y in zip(h.breaks, breaks)):
-            return h
-        return _accumulate(_zeros(f.domain, breaks, degree), (h,))
-
-    a, b = on_union(f), on_union(g)
+    # on the common grid; an operand at the common degree is only refined
+    a, b = (h if h.degree == degree else _accumulate(_zeros(f.domain, breaks, degree), (h,))
+            for h in (f.on_breaks(breaks), g.on_breaks(breaks)))
     scale = max(np.max(np.abs(a.coeffs)), np.max(np.abs(b.coeffs)), 1e-300)
     return float(np.max(np.abs(a.coeffs - b.coeffs)) / scale)

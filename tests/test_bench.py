@@ -404,6 +404,17 @@ class TestFigureCriteria:
             "PASS fig1 S non-decreasing gamma=0 (last/first 1.45e+03, want >= 0.5)",
         ]
 
+    def test_zero_first_error_fails_its_ratio_row_alone(self):
+        # last/first has no value when the first error reads 0
+        sweeps = geometric_sweeps("fig1")
+        sweeps[(0,)].s[0] = 0.0
+        assert [c.line() for c in figure_criteria("fig1", sweeps)] == [
+            "PASS fig1 L2 slope gamma=0 (slope -5.000, want -5 +- 0.5)",
+            "FAIL fig1 L2 slope gamma=5 (slope -4.000, want -5 +- 0.5)",
+            "PASS fig1 S slope gamma=5 (slope -0.250, want -0.25 +- 0.15)",
+            "FAIL fig1 S non-decreasing gamma=0 (first error is 0, last/first is undefined)",
+        ]
+
     @pytest.mark.parametrize("figure", sorted(FIGURES))
     def test_rows_are_well_formed(self, figure):
         preset = FIGURES[figure]

@@ -150,6 +150,25 @@ class TestReproduceCommand:
             "  FAIL fig1 S slope gamma=5", "  PASS fig1 S non-decreasing gamma=0"]
         assert lines[1].endswith(reason) and lines[2].endswith(reason)
 
+    def test_zero_first_error_prints_every_criteria_line(self, tmp_path, capsys, monkeypatch):
+        # a hold row whose first error reads 0 fails alone; the others print
+        real = bench.sweep_point
+
+        def zero_s_at_2(u, method, gamma, param):
+            l2, s, w, dt = real(u, method, gamma, param)
+            return (l2, 0.0, w, dt) if gamma == (0,) and param == 2 else (l2, s, w, dt)
+
+        monkeypatch.setattr(bench, "sweep_point", zero_s_at_2)
+        code = main(["reproduce", "fig1", "--degrees", "2,16,32,64", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ""
+        lines = out.split("\nfig1 criteria:\n")[1].splitlines()
+        assert [ln.split(" (")[0] for ln in lines] == [
+            "  PASS fig1 L2 slope gamma=0", "  PASS fig1 L2 slope gamma=5",
+            "  PASS fig1 S slope gamma=5", "  FAIL fig1 S non-decreasing gamma=0"]
+        assert lines[3].endswith("(first error is 0, last/first is undefined)")
+
     @pytest.mark.parametrize("argv, need", [
         (["reproduce", "fig4", "--cells", "2,8"], "read K=4"),
         (["reproduce", "fig1", "--degrees", "2,4,8,16,32"], "[16, 256] and need at least 3"),

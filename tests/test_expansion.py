@@ -132,6 +132,37 @@ class TestReconstruct:
             assert coeff_distance(reconstruct(b), pairwise) <= 1e-14, trial
 
 
+    @pytest.mark.parametrize("delta", [(2,), (3,), (2, 1), (1, 2), (1, 2, 1), (2, 1, 1)])
+    def test_roundtrips_with_breaks_are_exact(self, delta):
+        # entries are put on the union breaks before any lift, so extraction
+        # gives each one back bit for bit, and a reconstruction is rebuilt
+        # bit for bit from its own traces
+        rng = np.random.default_rng(40 + sum(delta))
+        for trial in range(40):
+            b = random_trace_bundle(rng, delta, random_domain(rng, len(delta)),
+                                    degree=int(rng.integers(0, 4)), breaks_per_axis=2)
+            u = reconstruct(b)
+            back = extract_traces_poly(u, delta)
+            for alpha in multiindex_range(delta):
+                assert coeff_distance(b.entries[alpha], back.entries[alpha]) == 0.0, (trial, alpha)
+            assert coeff_distance(u, reconstruct(back)) == 0.0, trial
+
+    @pytest.mark.parametrize("delta", [(1,), (2,), (3,), (5,)])
+    def test_one_axis_equals_the_lattice_order_sum(self, delta):
+        # in 1-D the pass sums the lifted terms in lattice order, bit for bit,
+        # for both trace representations
+        rng = np.random.default_rng(50 + delta[0])
+        lattice = multiindex_range(delta)
+        for trial in range(10):
+            poly = random_trace_bundle(rng, delta, random_domain(rng, 1), breaks_per_axis=3)
+            series = PolyTraceBundle(delta, {a: LegendreSeries(rng.standard_normal(
+                rng.integers(2, 7) if a == delta else 1)) for a in lattice})
+            for b in (poly, series):
+                terms = [apply_tensor(a, delta, b.entries[a]) for a in lattice]
+                want = functools.reduce(operator.add, terms)
+                assert np.array_equal(reconstruct(b).coeffs, want.coeffs), (trial, type(want))
+
+
 class TestBundleNorm:
     def test_high_degree_face_entry_matches_parseval(self):
         # the only nonzero trace lives on the face z = -1 of [-1, 1]^3; its

@@ -121,6 +121,14 @@ def trace_constructions(source: str) -> list[int]:
     )
 
 
+def test_expansion_puts_polynomials_on_breaks_through_the_public_step():
+    # reconstruction refines through PiecewisePoly.on_breaks and
+    # common_breaks, not through piecewise's own grid helpers
+    tree = ast.parse((PACKAGE / "expansion.py").read_text())
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert not names & {"_refine_axis", "_union", "_accumulate", "_zeros"}
+
+
 def test_only_core_builds_trace_functions():
     # every trace comes from core.boundary_trace, for every function kind
     offenders = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))

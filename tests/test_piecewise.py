@@ -7,9 +7,11 @@ import pytest
 
 from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import HyperRect, multiindex_range
-from sobrecon.piecewise import PiecewisePoly, coeff_distance, sum_terms
+from sobrecon.expansion import PolyTraceBundle, apply_tensor, reconstruct
+from sobrecon.piecewise import PiecewisePoly, coeff_distance
 from sobrecon.projection import sobolev_project_legendre
 from sobrecon.quadrature import QuadratureRule
+from sobrecon.verify import random_trace_bundle
 
 
 def two_cell_step(lo=-1.0, hi=1.0, split=0.0, left=-1.0, right=1.0):
@@ -320,23 +322,26 @@ class TestAlgebra:
         with pytest.raises(TypeError):
             f * f  # only scalars and kernels (multiply_kernel) multiply
 
-    def test_sum_terms_matches_pairwise_sum(self):
+    def test_reconstruct_matches_pairwise_sum(self):
+        # the summed lifts of a bundle whose entries have different break grids
         rng = np.random.default_rng(8)
         for trial in range(5):
-            terms = [random_poly(rng, degree=tuple(rng.integers(0, 4, 2)),
-                                 n_breaks=tuple(rng.integers(0, 3, 2))) for _ in range(5)]
+            delta = tuple(int(d) for d in rng.integers(0, 4, 2))
+            b = random_trace_bundle(rng, delta, HyperRect.cube(2),
+                                    degree=int(rng.integers(0, 4)), breaks_per_axis=2)
+            terms = [apply_tensor(a, delta, b.entries[a]) for a in multiindex_range(delta)]
             pairwise = terms[0]
             for t in terms[1:]:
                 pairwise = pairwise + t
-            assert coeff_distance(sum_terms(iter(terms)), pairwise) <= 1e-14, trial
+            assert coeff_distance(reconstruct(b), pairwise) <= 1e-14, trial
 
-    def test_sum_terms_rejects_empty_and_mixed_domains(self):
-        with pytest.raises(ValueError, match="no terms"):
-            sum_terms([])
-        f = two_cell_step()
+    def test_reconstruct_rejects_empty_and_mixed_domains(self):
+        with pytest.raises(ValueError, match="do not cover"):
+            reconstruct(PolyTraceBundle((1,), {}))
+        f = PiecewisePoly.constant(HyperRect((-1.0,), (1.0,)), 1.0)
         g = two_cell_step(lo=-2.0)
         with pytest.raises(ValueError, match="different domains"):
-            sum_terms([f, g])
+            reconstruct(PolyTraceBundle((1,), {(0,): f, (1,): g}))
 
     def test_restrict_rejects_faces_other_than_lower(self):
         f = random_poly(np.random.default_rng(2))
