@@ -3,8 +3,10 @@
 Step-function approximants, the polynomial kernels z^k/k!, and the inputs
 of the exact trace roundtrips live in this class, which is closed under
 evaluation, differentiation, antidifferentiation and exact integration.
-Products are by scalars and by the kernels only (``multiply_kernel``);
-``f * g`` of two piecewise polynomials raises ``TypeError``.
+Products are by scalars and by the kernels only (``multiply_kernel``), and a
+kernel multiplies only along an axis where the polynomial is constant, as
+the expansion applies it; ``f * g`` of two piecewise polynomials raises
+``TypeError``.
 
 Coefficients are stored in the scaled-monomial basis (s - c)^k / k! about
 each cell's lower corner c.  In this basis the kernels z^k/k! are unit
@@ -23,8 +25,7 @@ Sums and comparisons first put their operands on the union of their breaks
 (``common_breaks``, ``on_breaks``), re-anchoring each piece at the corners
 of the finer cells it covers.  Integration reuses the calculus: the exact
 integral is the antiderivative along each integrated axis read at the
-axis's upper end, and ``inner`` sums Gauss-weighted values with
-``core.contract_axes``.
+axis's upper end.
 
 The public constructor validates breaks and coefficient shapes.  Results of
 operations on valid polynomials are valid by construction and skip that
@@ -36,7 +37,6 @@ the polynomial is built, and stored as plain attributes.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -49,9 +49,7 @@ from .core import (
     TraceFunction,
     as_multiindex,
     boundary_trace,
-    contract_axes,
 )
-from .quadrature import axis_quadrature
 
 
 def _powers(z: np.ndarray, degree: int) -> np.ndarray:
@@ -76,36 +74,13 @@ def _shift_matrices(h: np.ndarray, degree: int) -> np.ndarray:
     return powers[:, _shift_lags(degree)]
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, with writing turned off: the lru_cache tables below are
-    shared by every caller."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @functools.lru_cache(maxsize=None)
 def _shift_lags(degree: int) -> np.ndarray:
     """k - p where k >= p, else degree + 1, for p, k = 0..degree (shared, read-only)."""
     lag = np.subtract.outer(np.arange(degree + 1), np.arange(degree + 1)).T  # k - p
-    return _read_only(np.where(lag >= 0, lag, degree + 1))[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _binomials(n: int) -> np.ndarray:
-    """Pascal matrix C[q, m] = binom(q, m) for q, m = 0..n (shared, read-only)."""
-    out = np.array([[math.comb(q, m) for m in range(n + 1)] for q in range(n + 1)], float)
+    out = np.where(lag >= 0, lag, degree + 1)
     out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel_lags(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For a degree-d piece times the kernel z^k/k!: where 0 <= q - m <= k,
-    clip(q - m, 0, k), and binom(q, m), for q = 0..d+k and m = 0..d (shared,
-    read-only)."""
-    lag = np.subtract.outer(np.arange(d + k + 1), np.arange(d + 1))  # q - m
-    return _read_only((lag >= 0) & (lag <= k), np.clip(lag, 0, k), _binomials(d + k)[:, :d + 1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,28 +322,19 @@ class PiecewisePoly:
         return PiecewisePoly._make(self.domain, self.breaks, b)
 
     def multiply_kernel(self, axis: int, k: int) -> "PiecewisePoly":
-        """Multiply by the kernel z^k/k! in z = s_axis - lo_axis.
-
-        About a cell's lower corner c the kernel's coefficients are its
-        derivatives there, h^(k-p)/(k-p)! with h = c - lo_axis, and a product
-        of scaled monomials is t^m/m! * t^n/n! = binom(m+n, m) t^(m+n)/(m+n)!.
-        So the product is a per-cell binomial convolution along this axis
-        alone; the breaks and the other axes are left as they are.
-        """
+        """Multiply by the kernel z^k/k! in z = s_axis - lo_axis, along an axis
+        where this polynomial is constant (one cell, degree 0): the expansion
+        applies a kernel only on an axis its trace's face pins.  The kernel
+        is then the unit slot k of the scaled-monomial basis, so the product
+        holds the constant in that slot."""
         if k == 0:
             return self
-        nd, d = self.ndim, self.degree[axis]
-        if self.cell_counts[axis] == 1:  # h = 0: slot m goes to m + k, times binom(m+k, m)
-            out = np.zeros(self.coeffs.shape[:nd + axis] + (d + k + 1,)
-                           + self.coeffs.shape[nd + axis + 1:])
-            weights = _binomials(d + k)[np.arange(k, d + k + 1), np.arange(d + 1)]
-            out[(slice(None),) * (nd + axis) + (slice(k, None),)] = (
-                self.coeffs * weights.reshape((-1,) + (1,) * (nd - 1 - axis)))
-            return PiecewisePoly._make(self.domain, self.breaks, out)
-        kern = _powers(self.edges(axis)[:-1] - self.domain.lo[axis], k)[:, ::-1]
-        mask, lag, binomials = _kernel_lags(d, k)
-        conv = np.where(mask, binomials * kern[:, lag], 0.0)
-        return PiecewisePoly._make(self.domain, self.breaks, _cellwise(self.coeffs, axis, conv))
+        self._check_constant(axis, "for a kernel lift")
+        lead = (slice(None),) * (self.ndim + axis)
+        out = np.zeros(self.coeffs.shape[:self.ndim + axis] + (k + 1,)
+                       + self.coeffs.shape[self.ndim + axis + 1:])
+        out[lead + (slice(k, None),)] = self.coeffs
+        return PiecewisePoly._make(self.domain, self.breaks, out)
 
     def break_jumps(self, axis: int) -> np.ndarray:
         """Largest coefficient jump across each interior break of one axis,
@@ -398,44 +364,6 @@ class PiecewisePoly:
     def _check_constant(self, axis: int, why: str):
         if self.cell_counts[axis] != 1 or self.degree[axis] != 0:
             raise ValueError(f"axis {axis} must be constant {why}")
-
-    def inner(self, other: "PiecewisePoly", axes=None) -> float:
-        """L2 inner product over the domain, from pointwise values.
-
-        With ``axes`` the integral runs over those axes only, and both
-        operands must be constant (a single degree-0 piece) on the others,
-        as for ``integral``: this is the inner product on a face.
-
-        Each cell of the common refinement of both break grids gets a
-        Gauss-Legendre rule with floor((deg_f,i + deg_g,i)/2) + 1 nodes per
-        axis, which integrates the product exactly in exact arithmetic; the
-        result is the sum of w*f*g over those nodes.
-
-        Worst relative error against the exact integral in rational
-        arithmetic, for ``p = PiecewisePoly(HyperRect.cube(2), (np.array([]),)
-        * 2, default_rng(seed).standard_normal((1, 1, d + 1, d)))`` with
-        itself, over seeds 0-199: 9.7e-16 at d=4 and d=6, 2.0e-15 at d=8 and
-        7.2e-16 at d=12.
-        """
-        if self.domain != other.domain:
-            raise ValueError("operands live on different domains")
-        axes = range(self.ndim) if axes is None else set(axes)
-        xs, ws = [], []
-        for i in range(self.ndim):
-            if i in axes:
-                x, w = axis_quadrature(
-                    self.domain.lo[i], self.domain.hi[i],
-                    _union(self.breaks[i], other.breaks[i]), None,
-                    nodes=(self.degree[i] + other.degree[i]) // 2 + 1, panels=1)
-            else:
-                for f in (self, other):
-                    f._check_constant(i, "to stay out of the inner product")
-                x, w = np.array([self.domain.lo[i]]), np.ones(1)
-            xs.append(x)
-            ws.append(w)
-        fx = self.eval_grid(xs)
-        vals = fx * (fx if other is self else other.eval_grid(xs))
-        return float(contract_axes(vals, ws))
 
     # -------------------------------------------------------------- arithmetic
 

@@ -42,7 +42,7 @@ from .core import (
 from .expansion import PolyTraceBundle, reconstruct
 from .legseries import LegendreSeries, legendre_values
 from .piecewise import PiecewisePoly
-from .quadrature import QuadratureRule, grid_quadrature, grid_values, rule_for
+from .quadrature import QuadratureRule, grid_quadrature, rule_for
 
 
 def cell_edges(counts, ndim: int) -> tuple[tuple[float, ...], ...]:
@@ -122,7 +122,7 @@ def _project_traces(u: AnalyticFunction, gamma: MultiIndex, rule: QuadratureRule
             trace = u.boundary_trace(alpha, gamma)
             act = trace.active
             weighted = [table(i).T for i in act]
-            coeffs = contract_axes(grid_values(trace, [axes[i] for i in act]), weighted)
+            coeffs = contract_axes(trace.eval_grid([axes[i] for i in act]), weighted)
             entries[alpha] = assemble(coeffs, act)
     return reconstruct(PolyTraceBundle(gamma, entries))
 

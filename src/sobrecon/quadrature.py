@@ -207,10 +207,9 @@ def grid_quadrature(domain: HyperRect, rule: QuadratureRule):
 
 
 def grid_values(f, axes) -> np.ndarray:
-    """Evaluate a function on the tensor grid of per-axis node arrays."""
+    """Evaluate a plain callable f(*coords) on the tensor grid of per-axis
+    node arrays."""
     shape = tuple(len(a) for a in axes)
-    if hasattr(f, "eval_grid"):
-        return np.broadcast_to(np.asarray(f.eval_grid(list(axes)), float), shape)
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)
     return np.broadcast_to(np.asarray(f(*grids), float), shape)
 

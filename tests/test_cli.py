@@ -79,6 +79,9 @@ class TestExpandCommand:
     @pytest.mark.parametrize("example, point, delta, want", [
         ("example1-1d", "0.5", "6", "expansion order (6,) exceeds smoothness (5,)"),
         ("example2-2d", "0.25,-0.5", "4,1", "expansion order (4, 1) exceeds smoothness (3, 3)"),
+        # with a bad point as well, the order is refused first
+        ("example1-1d", "1.5", "6", "expansion order (6,) exceeds smoothness (5,)"),
+        ("example2-2d", "0.25", "4,1", "expansion order (4, 1) exceeds smoothness (3, 3)"),
     ])
     def test_order_above_smoothness_prints_only_the_error(self, example, point, delta,
                                                           want, capsys):

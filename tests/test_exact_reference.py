@@ -17,6 +17,11 @@ the terms that meet in each coefficient.  Each float coefficient must lie
 within C * n * u * Sigma|terms| of the exact one, with u = 2^-53 and n the
 longest chain of operations on one coefficient: n = lattice size + N *
 (degree + max delta + 2).
+
+The way back is exact: D^alpha moves every coefficient alpha slots down and
+the lower-face restriction keeps the first cell's slot 0 on each pinned
+axis, so ``extract_traces_poly`` of a float reconstruction must equal the
+reference extraction of the same coefficients, read as fractions.
 """
 
 import math
@@ -26,7 +31,7 @@ import numpy as np
 import pytest
 
 from sobrecon.core import HyperRect
-from sobrecon.expansion import PolyTraceBundle, reconstruct
+from sobrecon.expansion import PolyTraceBundle, extract_traces_poly, reconstruct
 from sobrecon.piecewise import PiecewisePoly
 
 UNIT = Fraction(1, 2**53)
@@ -121,6 +126,26 @@ def reference(lo, hi, order, entries, binom=math.comb):
     return total
 
 
+def derivative(coeffs, alpha, too_far=0):
+    """D^alpha: slot k moves to k - alpha on every axis, and a slot below
+    alpha drops out.  `too_far` moves each differentiated axis that many
+    slots farther (a wrong reference, for the detector)."""
+    shift = tuple(p + too_far if p else 0 for p in alpha)
+    out = {}
+    for (cell, k), a in coeffs.items():
+        j = tuple(q - p for q, p in zip(k, shift))
+        if min(j) >= 0:
+            out[(cell, j)] = a
+    return out
+
+
+def restrict(coeffs, face):
+    """Pin every axis whose face entry is -1 at its lower end: the value
+    there is slot 0 of the first cell, and the axis keeps that one cell."""
+    return {(cell, k): a for (cell, k), a in coeffs.items()
+            if all(c == 0 and q == 0 for c, q, b in zip(cell, k, face) if b < 0)}
+
+
 # ------------------------------------------------------------- the inputs
 
 
@@ -186,7 +211,8 @@ def worst_ratio(order, seed, binom=math.comb) -> float:
     return worst
 
 
-CONFIGS = [((3,), range(12)), ((2, 1), range(8)), ((3, 3), range(4)), ((1, 2, 1), range(3))]
+CONFIGS = [((3,), range(12)), ((2, 1), range(8)), ((3, 3), range(4)), ((1, 2, 1), range(3)),
+           ((2, 1, 3), range(1))]
 
 
 @pytest.mark.parametrize("order, seeds", CONFIGS, ids=lambda v: str(v))
@@ -202,3 +228,41 @@ def test_detector_fails_on_a_wrong_binomial():
         return math.comb(n, k) + 1
 
     assert worst_ratio((2, 1), 0, wrong) > C
+
+
+def fractions(poly: PiecewisePoly) -> dict:
+    """The nonzero coefficients of a float polynomial as exact fractions,
+    keyed (cell, k) like the reference."""
+    nd = poly.ndim
+    return {(idx[:nd], idx[nd:]): Fraction(float(v))
+            for idx, v in np.ndenumerate(poly.coeffs) if v}
+
+
+def extraction_mismatches(order, seed, too_far=0) -> list:
+    """The lattice indices whose extracted trace differs from the reference
+    extraction of the float reconstruction of one dyadic bundle."""
+    lo, hi, entries = dyadic_bundle(np.random.default_rng(seed), order)
+    u = reconstruct(to_float(lo, hi, order, entries))
+    exact = fractions(u)
+    bundle = extract_traces_poly(u, order)
+    wrong = []
+    for alpha, e in bundle.entries.items():
+        face = tuple(0 if a == d else -1 for a, d in zip(alpha, order))
+        want = restrict(derivative(exact, alpha, too_far), face)
+        breaks = [np.array([]) if b < 0 else br for b, br in zip(face, u.breaks)]
+        if fractions(e) != {k: v for k, v in want.items() if v} or not all(
+                np.array_equal(x, y) for x, y in zip(e.breaks, breaks)):
+            wrong.append(alpha)
+    return wrong
+
+
+@pytest.mark.parametrize("order, seeds", CONFIGS, ids=lambda v: str(v))
+def test_extraction_equals_exact_reference(order, seeds):
+    # extraction is pure slicing: no rounding, whatever the input
+    for seed in seeds:
+        assert extraction_mismatches(order, seed) == [], (order, seed)
+
+
+def test_extraction_detector_fails_on_a_shift_too_far():
+    # a reference that moves the differentiated slots one too far must fail
+    assert extraction_mismatches((2, 1), 0, too_far=1)

@@ -3,7 +3,9 @@
 reads, no module imports a name it never reads, no function falls back to
 a default quadrature rule, no einsum searches a contraction path on every
 call or builds its spec at run time, every name in `sobrecon.__all__`
-exists, and every sobrecon name the benchmark's tracer wraps is still there.
+exists, every sobrecon name the benchmark's tracer wraps is still there, and
+the coefficient algebra (`piecewise`, `legseries`) imports nothing from
+`quadrature`.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -127,6 +129,43 @@ def test_expansion_puts_polynomials_on_breaks_through_the_public_step():
     tree = ast.parse((PACKAGE / "expansion.py").read_text())
     names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
     assert not names & {"_refine_axis", "_union", "_accumulate", "_zeros"}
+
+
+def quadrature_imports(source: str) -> list[int]:
+    """Lines of `source` (the text of a sobrecon module) that import
+    sobrecon.quadrature or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            origin = _sobrecon_module(node)
+            if origin == "sobrecon.quadrature" or (
+                    origin == "sobrecon" and any(a.name == "quadrature" for a in node.names)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("sobrecon.quadrature") for a in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_algebra_modules_do_not_import_quadrature():
+    # the piecewise and Legendre algebra is exact calculus on coefficients;
+    # quadrature and the exact bundle norm read it, never the other way round
+    offenders = {name: lines for name in ("piecewise.py", "legseries.py")
+                 if (lines := quadrature_imports((PACKAGE / name).read_text()))}
+    assert not offenders, offenders
+
+
+def test_quadrature_import_detector():
+    source = (
+        "from .quadrature import axis_quadrature\n"
+        "from . import core, quadrature\n"
+        "import sobrecon.quadrature as q\n"
+        "from sobrecon.quadrature import QuadratureRule\n"
+        "from .core import contract_axes\n"
+        "from . import core\n"
+        "import sobrecon.core\n"
+    )
+    assert quadrature_imports(source) == [1, 2, 3, 4]
 
 
 def test_only_core_builds_trace_functions():

@@ -234,15 +234,16 @@ class TestIntegrals:
         f = two_cell_step()
         x, w = cell_gauss(f.edges(0), 1)
         assert np.sum(w * f(x) ** 2) == pytest.approx(2.0, rel=1e-15)
-        assert f.inner(f) == pytest.approx(2.0, rel=1e-15)
+        assert PolyTraceBundle((0,), {(0,): f}).norm() ** 2 == pytest.approx(2.0, rel=1e-15)
 
     def test_inner_positive_definite(self):
+        # the squared norm of an order-zero bundle is the entry's own L2 inner product
         rng = np.random.default_rng(3)
         for trial in range(5):
             f = random_poly(rng, ndim=1, degree=(4,), n_breaks=(2,))
-            assert f.inner(f) >= 0.0
+            assert PolyTraceBundle((0,), {(0,): f}).norm() ** 2 >= 0.0
         zero = PiecewisePoly.constant(HyperRect.cube(1), 0.0)
-        assert zero.inner(zero) == 0.0
+        assert PolyTraceBundle((0,), {(0,): zero}).norm() == 0.0
 
     def test_inner_matches_parseval_across_seeds(self):
         # a Gauss rule with degree + 1 nodes gives the Legendre coefficients
@@ -252,28 +253,21 @@ class TestIntegrals:
             p = random_poly(rng, degree=(4, 3), n_breaks=(0, 0))
             u = AnalyticFunction(p.domain, (0, 0), {(0, 0): p})
             f = sobolev_project_legendre(u, (0, 0), p.degree, QuadratureRule(nodes=5, panels=1))
-            assert p.inner(p) == pytest.approx(np.linalg.norm(f.coeffs) ** 2, rel=1e-11), seed
-
-    def test_inner_on_common_refinement_matches_product_integral(self):
-        rng = np.random.default_rng(21)
-        for trial in range(10):
-            f = random_poly(rng, degree=tuple(rng.integers(0, 3, 2)), n_breaks=(2, 1))
-            g = random_poly(rng, degree=tuple(rng.integers(0, 3, 2)), n_breaks=(1, 3))
-            (x, y), (wx, wy) = gauss_grid([f, g], nodes=3)
-            X, Y = np.meshgrid(x, y, indexing="ij")
-            expected = np.sum(np.outer(wx, wy) * f(X, Y) * g(X, Y))
-            scale = np.sqrt(f.inner(f) * g.inner(g))
-            assert abs(f.inner(g) - expected) <= 1e-12 * scale, trial
+            norm = PolyTraceBundle((0, 0), {(0, 0): p}).norm()
+            assert norm**2 == pytest.approx(np.linalg.norm(f.coeffs) ** 2, rel=1e-11), seed
 
     def test_inner_over_face_axes(self):
+        # the order-(0, 1) bundle: entry (0, 0) lives on the face y = -1 and
+        # is integrated over x alone, entry (0, 1) over the whole square
         rng = np.random.default_rng(4)
         f = random_poly(rng, degree=(3, 0), n_breaks=(2, 0))
-        g = random_poly(rng, degree=(2, 0), n_breaks=(1, 0))
-        (x, _), (w, _) = gauss_grid([f, g], nodes=3)
-        expected = np.sum(w * f(x, -1.0) * g(x, -1.0))
-        assert f.inner(g, axes=(0,)) == pytest.approx(expected, rel=1e-13)
-        with pytest.raises(ValueError, match="axis 0 must be constant"):
-            f.inner(g, axes=(1,))
+        g = random_poly(rng, degree=(2, 1), n_breaks=(1, 3))
+        (x, _), (w, _) = gauss_grid([f], nodes=4)
+        (gx, gy), (gwx, gwy) = gauss_grid([g], nodes=3)
+        X, Y = np.meshgrid(gx, gy, indexing="ij")
+        expected = np.sum(w * f(x, -1.0) ** 2) + np.sum(np.outer(gwx, gwy) * g(X, Y) ** 2)
+        norm = PolyTraceBundle((0, 1), {(0, 0): f, (0, 1): g}).norm()
+        assert norm**2 == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("lo, hi, breaks, powers, axes", [
         ((-1.0,), (3.0,), ([-0.5, 0.25, 2.0],), (5,), None),
@@ -286,12 +280,15 @@ class TestIntegrals:
     def test_integral_of_kernel_products_is_exact(self, lo, hi, breaks, powers, axes):
         # prod_i z_i^a_i / a_i! with z_i = s_i - lo_i, on a dyadic box with
         # breaks: its integral over axis i is (hi_i - lo_i)^(a_i+1) / (a_i+1)!,
-        # and an axis left out of the integral has a_i = 0 and one cell
+        # and an axis left out of the integral has a_i = 0 and one cell.  The
+        # product is built on one cell, each kernel along an axis where the
+        # partial product is still constant, then put on the breaks.
         dom = HyperRect(lo, hi)
-        cells = tuple(len(b) + 1 for b in breaks)
-        f = PiecewisePoly(dom, tuple(np.array(b) for b in breaks), np.ones(cells + (1,) * dom.ndim))
+        f = PiecewisePoly.constant(dom, 1.0)
         for i, a in enumerate(powers):
             f = f.multiply_kernel(i, a)
+        f = f.on_breaks(tuple(np.array(b) for b in breaks))
+        assert f.cell_counts == tuple(len(b) + 1 for b in breaks)
         kept = range(dom.ndim) if axes is None else axes
         exact = math.prod(Fraction(hi[i] - lo[i]) ** (powers[i] + 1)
                           / math.factorial(powers[i] + 1) for i in kept)
@@ -374,17 +371,19 @@ class TestAlgebra:
 class TestKernelMultiply:
     @pytest.mark.parametrize("n_breaks", [(3,), (2, 0), (0, 3), (2, 0, 1)])
     def test_matches_general_product(self, n_breaks):
-        # every axis is tried as the kernel axis, so breaks lie on it and off
-        # it; the reference is the pointwise product z^k/k! * f at Gauss nodes
+        # every axis is tried as the kernel axis of the polynomial pinned
+        # there (constant along it), so breaks lie off it; the reference is
+        # the pointwise product z^k/k! * f at Gauss nodes
         nd = len(n_breaks)
         rng = np.random.default_rng(10 * nd + sum(n_breaks))
         for trial in range(3):
             lo = rng.uniform(-2.0, 0.0, nd)
             domain = HyperRect(tuple(lo), tuple(lo + rng.uniform(0.5, 3.0, nd)))
-            f = random_poly(rng, nd, tuple(rng.integers(0, 4, nd)), n_breaks, domain)
-            axes, _ = gauss_grid([f], nodes=4)
-            grids = np.meshgrid(*axes, indexing="ij")
+            poly = random_poly(rng, nd, tuple(rng.integers(0, 4, nd)), n_breaks, domain)
             for axis in range(nd):
+                f = poly.restrict(tuple(-1 if i == axis else 0 for i in range(nd)))
+                axes, _ = gauss_grid([f], nodes=4)
+                grids = np.meshgrid(*axes, indexing="ij")
                 for k in range(5):
                     got = f.multiply_kernel(axis, k)
                     degree = tuple(d + (k if i == axis else 0) for i, d in enumerate(f.degree))
@@ -394,6 +393,19 @@ class TestKernelMultiply:
                     ref = z**k / math.factorial(k) * f(*grids)
                     scale = np.max(np.abs(ref))
                     assert np.max(np.abs(got(*grids) - ref)) <= 1e-13 * scale, (axis, k)
+
+    @pytest.mark.parametrize("n_breaks, degree", [((1, 0), (0, 0)), ((0, 0), (2, 0))],
+                             ids=["breaks", "degree"])
+    def test_refuses_a_varying_axis(self, n_breaks, degree):
+        # a kernel lifts only a function constant along its axis (one cell,
+        # degree 0): axis 0 here has a break or a positive degree
+        f = random_poly(np.random.default_rng(6), 2, degree, n_breaks)
+        with pytest.raises(ValueError, match="axis 0 must be constant for a kernel lift"):
+            f.multiply_kernel(0, 2)
+        with pytest.raises(ValueError, match="axis 0 must be constant for a kernel lift"):
+            apply_tensor((1, 0), (2, 0), f)
+        assert f.multiply_kernel(0, 0) is f  # order 0 is the identity on any input
+        assert f.multiply_kernel(1, 2).degree == (degree[0], 2)
 
 
 class TestValidation:
