@@ -17,7 +17,7 @@ from .core import as_multiindex, multiindex_range
 from .expansion import term_at_point
 from .quadrature import QuadratureRule, rule_for
 from .targets import available_examples, get_example
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="run a seeded property suite")
-    p.add_argument("suite", choices=["roundtrip", "identities", "optimality", "all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(func=cmd_verify)

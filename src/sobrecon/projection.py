@@ -162,8 +162,3 @@ def sobolev_project_step(u: AnalyticFunction, gamma, counts,
 
     return _project_traces(u, gamma, rule, step_values, counts, assemble)
 
-
-def random_legendre_poly(rng: np.random.Generator, degree) -> LegendreSeries:
-    """Random coefficient tensor, used as a perturbation direction."""
-    degree = as_multiindex(degree)
-    return LegendreSeries(rng.standard_normal(tuple(d + 1 for d in degree)))

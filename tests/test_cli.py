@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from sobrecon import bench
+from sobrecon import bench, verify
 from sobrecon.cli import main
 
 
@@ -26,14 +26,58 @@ class TestVerifyCommand:
         assert "roundtrip-forward N=3" in capsys.readouterr().out
 
     @pytest.mark.parametrize("suite", ["roundtrip", "identities", "optimality", "all"])
-    @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_no_trials_exits_2_before_any_suite(self, suite, trials, capsys):
-        # zero trials would pass every check vacuously
-        code = main(["verify", suite, "--trials", trials])
+    @pytest.mark.parametrize("flag, value, word", [
+        pytest.param("--trials", "0", "trial", id="0"),
+        pytest.param("--trials", "-1", "trial", id="-1"),
+        pytest.param("--seed", "-19", "seed", id="seed=-19"),
+    ])
+    def test_no_trials_exits_2_before_any_suite(self, suite, flag, value, word, capsys):
+        # zero trials would pass every check vacuously; a negative seed is
+        # refused for every suite alike, although roundtrip offsets each
+        # configuration's seed above zero
+        code = main(["verify", suite, flag, value])
         out, err = capsys.readouterr()
         assert code == 2
-        assert err.startswith("error: ") and "trial" in err
+        assert err.startswith("error: ") and word in err and value in err
         assert out == ""
+
+    @pytest.mark.parametrize("measured, shown", [(float("nan"), "nan"), (1e-9, "1.00e-09")])
+    def test_nan_or_inexact_measurement_fails_its_line(self, measured, shown, capsys,
+                                                        monkeypatch):
+        # every coeff_distance after the first (an exact 0) reads `measured`:
+        # a NaN must fail as a value above the bound does, not be dropped
+        real = verify.coeff_distance
+        calls = []
+
+        def distance(f, g):
+            calls.append(None)
+            return real(f, g) if len(calls) == 1 else measured
+
+        monkeypatch.setattr(verify, "coeff_distance", distance)
+        code = main(["verify", "roundtrip", "--trials", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0] == f"FAIL roundtrip-forward N=1 delta=(2,) (max coeff err {shown})"
+        assert all(ln.startswith("FAIL ") and ln.endswith(f"(max coeff err {shown})")
+                   for ln in lines[:-1])
+        assert lines[-1] == "0/12 checks passed"
+
+    def test_all_prints_twenty_named_lines_in_order(self):
+        # names only: the measured numbers depend on the BLAS
+        names = [r.name for r in verify.run_suite("all", trials=1)]
+        assert names == [
+            *(f"roundtrip-{way} N={n} delta={delta}" for n, delta in (
+                (1, (2,)), (1, (3,)), (2, (2, 1)), (2, (3, 3)), (3, (1, 2, 1)), (3, (2, 1, 3)))
+              for way in ("forward", "inverse")),
+            "fund-int identity (k <= top <= 4)",
+            "fundamental-theorem roundtrip (delta = e_k)",
+            "reconstruction linearity",
+            "norm ratio empirically bounded",
+            "trace-norm roundtrip",
+            "L2 optimality of Legendre projection",
+            "L2 optimality of step projection",
+            "dc-norm optimality of trace projection",
+        ]
 
 
 class TestExpandCommand:

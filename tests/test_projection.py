@@ -11,7 +11,6 @@ from sobrecon.legseries import LegendreSeries
 from sobrecon.piecewise import PiecewisePoly, coeff_distance
 from sobrecon.projection import (
     cell_edges,
-    random_legendre_poly,
     sobolev_project_legendre,
     sobolev_project_step,
 )
@@ -24,6 +23,7 @@ from sobrecon.quadrature import (
     rule_for,
 )
 from sobrecon.targets import get_example, v_derivative
+from sobrecon.verify import random_legendre_poly
 
 
 def plain(f, ndim=1, **kwargs):
