@@ -11,7 +11,7 @@ from sobrecon import HyperRect, PiecewisePoly, QuadratureRule, multiindex_range
 from sobrecon.expansion import term_at_point
 
 dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
+u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).antiderivative(1)
 delta = (2, 1)
 point = (0.8, 0.6)
 

@@ -2,25 +2,26 @@
 
 A function with mixed smoothness of order ``delta`` is the sum, over all
 derivative orders ``alpha <= delta``, of a tensor-product operator applied
-to the trace of D^alpha on a lower boundary face.  Per axis the operator is
-the identity (order 0 of 0), multiplication by the kernel z^k/k! (below top
-order), or a Volterra integral with kernel z^(k-1)/(k-1)! (at top order),
-which for polynomial inputs reduces to repeated exact antidifferentiation.
+to the trace of D^alpha on a lower boundary face.  Per axis, with a =
+alpha_i, the operator is the a-fold antiderivative from the lower end: the
+Volterra integral with kernel z^(a-1)/(a-1)! (Cauchy's formula), and the
+identity at a = 0.  Below top order the trace is constant along the axis,
+where the a folds are multiplication by the kernel z^a/a!.
 
 Trace functions are carried on the full domain, constant along their
 face-inactive axes, as PiecewisePoly values or as LegendreSeries on the
-standard hypercube.  Both supply the maps the operators need
-(multiply_kernel, the a-fold antiderivative, +), so one reconstruction
-serves both.  reconstruct puts piecewise entries on one break grid, the
-union of all entries' breaks, before any lift, then applies the operators
-axis by axis, last axis first, summing the terms that share their orders on
-the axes not yet lifted (sum factorization).  The way back,
-extract_traces_poly, and the exact bundle norm, which integrates each trace
-over its own face with a Gauss rule sized to its degree, take PiecewisePoly
-only.
+standard hypercube.  Both supply the maps the operators need (the a-fold
+antiderivative and +), so one reconstruction serves both.  reconstruct puts
+piecewise entries on one break grid, the union of all entries' breaks,
+before any lift, then applies the operators axis by axis, last axis first,
+summing the terms that share their orders on the axes not yet lifted (sum
+factorization).  The way back, extract_traces_poly, and the exact bundle
+norm, which integrates each trace over its own face with a Gauss rule sized
+to its degree, take PiecewisePoly only.
 
-Inputs are validated at the public boundary (apply_tensor's indices, the
-PolyTraceBundle constructor's lattice, entry types and faces); bundles that
+Inputs are validated at the public boundary (apply_tensor's indices and its
+trace's pinned axes, the PolyTraceBundle constructor's lattice, entry types
+and faces, both through one pinned-axis check); bundles that
 extract_traces_poly, scaled and + build are valid by construction.  Every
 function kind also gives its traces through core.boundary_trace, as a
 TraceFunction(face, f, alpha): that is how dc_error compares a target with
@@ -56,31 +57,31 @@ Trace = PiecewisePoly | LegendreSeries
 
 
 def apply_tensor(alpha, delta, f: Trace) -> Trace:
-    """Apply the tensor-product operator of one lattice index alpha <= delta.
+    """Apply the tensor-product operator of one lattice index alpha <= delta:
+    per axis i, the alpha_i-fold antiderivative from the lower end.
 
-    Per axis i, with a = alpha_i: multiplication by the kernel z^a/a! where
-    a < delta_i (the trace's face pins axis i), else the a-fold Volterra
-    integral, which on polynomials is a-fold exact antidifferentiation
-    (Cauchy) and for a = 0 is the identity.  A PiecewisePoly must be
-    constant (one cell, degree 0) on every axis where a kernel of order
-    a > 0 multiplies it, as a trace is on its pinned axes; otherwise
-    multiply_kernel raises ValueError.
+    Where 0 < alpha_i < delta_i the trace's face pins axis i, and the folds
+    are multiplication by the kernel z^a/a! only if f is constant there
+    (one cell, degree 0); a trace of either type that varies along such an
+    axis is refused with ValueError.
     """
     alpha = as_multiindex(alpha)
     delta = as_multiindex(delta, ndim=len(alpha))
     if not leq(alpha, delta):
         raise ValueError(f"alpha={alpha} is not <= delta={delta}")
-    for axis, (a, d) in enumerate(zip(alpha, delta)):
-        f = _axis_lift(f, axis, a, d)
+    _check_constant_on(f, [i for i, (a, d) in enumerate(zip(alpha, delta)) if 0 < a < d],
+                       f"the trace lifted at alpha={alpha}")
+    for axis, a in enumerate(alpha):
+        f = f.antiderivative(axis, a)
     return f
 
 
-def _axis_lift(f: Trace, axis: int, a: int, d: int) -> Trace:
-    """The operator of one axis, order a of top order d: the kernel z^a/a!
-    below top order, else the a-fold Volterra lift (the identity at a = 0)."""
-    if a < d:
-        return f.multiply_kernel(axis, a)
-    return f.antiderivative(axis, a) if a else f
+def _check_constant_on(f: Trace, axes, what: str):
+    """Refuse f if it varies (more than one cell, or a positive degree)
+    along any of `axes`: a trace is constant along the axes its face pins."""
+    for i in axes:
+        if f.cell_counts[i] > 1 or f.degree[i] > 0:
+            raise ValueError(f"{what} varies along inactive axis {i}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,11 +124,8 @@ class PolyTraceBundle:
             e = entries[alpha]
             if e.domain != domain:
                 raise ValueError("bundle entries live on different domains")
-            for i, b in enumerate(face):
-                if b < 0 and (e.cell_counts[i] > 1 or e.degree[i] > 0):
-                    raise ValueError(
-                        f"entry {alpha} varies along inactive axis {i} of face {face}"
-                    )
+            _check_constant_on(e, [i for i, b in enumerate(face) if b < 0],
+                               f"entry {alpha} of face {face}")
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -191,10 +189,12 @@ def reconstruct(bundle: PolyTraceBundle) -> Trace:
     Piecewise entries are first put on the union of all entries' breaks
     along their active axes.  Then, for axis j from last to first, the terms
     that share alpha[:j] are lifted on axis j and summed in order alpha_j =
-    0..delta_j: the kernel lifts of the pinned terms on their single cell
-    (each fills its own coefficient slot), that sum refined once onto the
-    union cells, then the delta_j-fold Volterra lift of the top term.  Axis
-    j takes one operator per prefix alpha[:j+1] (sum factorization).
+    0..delta_j: the alpha_j-fold antiderivative of each, which on a pinned
+    term's single cell is its kernel lift (each fills its own coefficient
+    slot); that sum is refined once onto the union cells when the top
+    term's delta_j-fold lift joins it.  Axis j takes one operator per prefix
+    alpha[:j+1] (sum factorization).  The bundle was validated when it was
+    built, so nothing is checked here.
     """
     order = bundle.order
     level = bundle.entries  # alpha[:j+1] -> sum of the lifts on axes j+1..
@@ -205,7 +205,7 @@ def reconstruct(bundle: PolyTraceBundle) -> Trace:
     for j in reversed(range(len(order))):
         d = order[j]
         level = {prefix: functools.reduce(operator.add, (
-                     _axis_lift(level[prefix + (a,)], j, a, d) for a in range(d + 1)))
+                     level[prefix + (a,)].antiderivative(j, a) for a in range(d + 1)))
                  for prefix in dict.fromkeys(alpha[:j] for alpha in level)}
     return level[()]
 
@@ -247,7 +247,10 @@ def extract_traces_poly(u: PiecewisePoly, delta) -> PolyTraceBundle:
 def fund_int_pair(k: int, top: int, v: PiecewisePoly):
     """Both sides of the one-axis integration identity used in the induction,
     on axis 0: the antiderivative of the (k, top) lift equals the
-    (k+1, top+1) lift; apply_tensor rejects any k outside 0 <= k <= top."""
+    (k+1, top+1) lift; apply_tensor rejects any k outside 0 <= k <= top.
+    Both lifts are antiderivatives on axis 0, so the pair checks that k
+    folds then one more equal k+1 folds; the kernel identity itself is
+    checked by the tests (see the verify module)."""
     rest = (0,) * (v.ndim - 1)
     lhs = apply_tensor((k,) + rest, (top,) + rest, v).antiderivative(0)
     rhs = apply_tensor((k + 1,) + rest, (top + 1,) + rest, v)

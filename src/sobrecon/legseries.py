@@ -2,10 +2,13 @@
 
 Coefficients are stored in the orthonormal basis (each factor scaled by
 sqrt(k + 1/2)), so the L2 norm is the Euclidean coefficient norm.  All
-calculus is done as exact sparse linear maps on coefficients, and values are
-produced by the upward three-term recurrence, which is backward stable on
-[-1, 1]; nothing here ever forms a monomial representation, so degrees in
-the hundreds are safe.  The recurrence fills each row of the basis table in
+calculus is done as sparse linear maps on coefficients, exact in exact
+arithmetic and rounded in float (``antiderivative`` states its measured
+error); the expansion's kernel lift (x+1)^k/k! * f, along an axis where f
+is constant, is the k-fold antiderivative there.  Values are produced by
+the upward three-term recurrence, which is backward stable on [-1, 1];
+nothing here ever forms a monomial representation, so degrees in the
+hundreds are safe.  The recurrence fills each row of the basis table in
 place, so a degree-256 table on a fig1 grid costs its own 43 MB and no
 temporaries.  Values are read on tensor grids only (``eval_grid``,
 ``derivative_grids``): the coefficients are contracted with one basis table
@@ -74,17 +77,6 @@ def _antiderivative_matrix(n: int) -> np.ndarray:
     for k in range(1, n):
         m[k + 1, k] = 1.0 / (2 * k + 1)
         m[k - 1, k] = -1.0 / (2 * k + 1)
-    return m * _scale(n)[None, :] / _scale(n + 1)[:, None]
-
-
-@lru_cache(maxsize=None)
-def _x_matrix(n: int) -> np.ndarray:
-    """Orthonormal-coefficient map of multiplication by x, (n+1, n)."""
-    m = np.zeros((n + 1, n))
-    for k in range(n):
-        m[k + 1, k] = (k + 1.0) / (2 * k + 1)
-        if k >= 1:
-            m[k - 1, k] = k / (2 * k + 1.0)
     return m * _scale(n)[None, :] / _scale(n + 1)[:, None]
 
 
@@ -174,9 +166,17 @@ class LegendreSeries:
     # --------------------------------------------------------------- calculus
 
     def antiderivative(self, axis: int, times: int = 1) -> "LegendreSeries":
-        """`times`-fold integration from the lower boundary -1 along one axis."""
-        if times < 1:
-            raise ValueError(f"need at least one fold, got times={times}")
+        """`times`-fold integration from the lower boundary -1 along one axis;
+        zero folds return this series.
+
+        Each fold applies a two-diagonal map with rounded entries, and the
+        folds cancel: on a constant c (the kernel lift c (x+1)^k/k!), the
+        worst coefficient error over 201 values of c, in ulps of the largest
+        exact coefficient, was 0.61, 1.11, 3.46, 8.14, 16.4 and 31.3 for k =
+        1..6, about twice as large per fold from k = 3
+        (tests/test_legseries.py checks it against exact coefficients)."""
+        if times < 0:
+            raise ValueError(f"fold count must be non-negative, got times={times}")
         out = self
         for _ in range(times):
             n = out.coeffs.shape[axis]
@@ -190,17 +190,6 @@ class LegendreSeries:
         for _ in range(order):
             out = _apply_axis(out, _derivative_matrix(out.shape[axis]), axis)
         return LegendreSeries(out)
-
-    def multiply_kernel(self, axis: int, k: int) -> "LegendreSeries":
-        """Multiply by the kernel (x + 1)^k / k! along one axis."""
-        out = self.coeffs
-        for _ in range(k):
-            n = out.shape[axis]
-            grown = _apply_axis(out, _x_matrix(n), axis)
-            pad = [(0, 0)] * out.ndim
-            pad[axis] = (0, 1)
-            out = grown + np.pad(out, pad)
-        return LegendreSeries(out / math.factorial(k))
 
     def mixed_derivative(self, alpha) -> "LegendreSeries":
         out = self

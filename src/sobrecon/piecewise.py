@@ -3,10 +3,10 @@
 Step-function approximants, the polynomial kernels z^k/k!, and the inputs
 of the exact trace roundtrips live in this class, which is closed under
 evaluation, differentiation, antidifferentiation and exact integration.
-Products are by scalars and by the kernels only (``multiply_kernel``), and a
-kernel multiplies only along an axis where the polynomial is constant, as
-the expansion applies it; ``f * g`` of two piecewise polynomials raises
-``TypeError``.
+Products are by scalars only; ``f * g`` of two piecewise polynomials raises
+``TypeError``.  The expansion's kernel lift z^k/k! * f, along an axis where
+f is constant, is the k-fold antiderivative there (Cauchy's formula for
+repeated integration), which writes the constant into slot k.
 
 Coefficients are stored in the scaled-monomial basis (s - c)^k / k! about
 each cell's lower corner c.  In this basis the kernels z^k/k! are unit
@@ -295,46 +295,43 @@ class PiecewisePoly:
 
     def antiderivative(self, axis: int, times: int = 1) -> "PiecewisePoly":
         """The `times`-fold antiderivative along one axis: each fold vanishes
-        at the lower boundary and is continuous across breaks.
+        at the lower boundary and is continuous across breaks; zero folds
+        return this polynomial.  On one cell a fold only moves every
+        coefficient up one slot, so the folds are one shift by `times`; along
+        an axis where the polynomial is constant (one cell, degree 0) that
+        writes the constant into slot `times`, the product with the kernel
+        z^times/times!.
 
-        The folds share one table of width powers.  Each fold's array is
-        allocated in the original axis order and written through a
-        transposed view, as a single fold is, so the result has the same bits
-        as `times` successive single folds (einsum's summation order follows
-        the operands' memory layout).
+        On more cells the folds share one table of width powers.  Each
+        fold's array is allocated in the original axis order and written
+        through a transposed view, as a single fold is, so the result has
+        the same bits as `times` successive single folds (einsum's summation
+        order follows the operands' memory layout).
         """
-        if times < 1:
-            raise ValueError(f"need at least one fold, got times={times}")
-        perm = _cell_axes(self.ndim, axis)[0]
-        d = self.degree[axis]
-        powers = _powers(np.diff(self.edges(axis)), d + times)
+        if times < 0:
+            raise ValueError(f"fold count must be non-negative, got times={times}")
+        if times == 0:
+            return self
+        nd, d = self.ndim, self.degree[axis]
         shape = list(self.coeffs.shape)
+        if self.cell_counts[axis] == 1:
+            shape[nd + axis] += times
+            b = np.zeros(shape)
+            b[(slice(None),) * (nd + axis) + (slice(times, None),)] = self.coeffs
+            return PiecewisePoly._make(self.domain, self.breaks, b)
+        perm = _cell_axes(nd, axis)[0]
+        powers = _powers(np.diff(self.edges(axis)), d + times)
         prev = self.coeffs.transpose(perm)
         for fold in range(times):
-            shape[self.ndim + axis] += 1
+            shape[nd + axis] += 1
             b = np.zeros(shape)
             arr = b.transpose(perm)  # (cells, deg+2, ...)
             arr[:, 1:] = prev
-            if len(powers) > 1:  # each cell starts where the one below ends
-                vals = np.einsum("ck,ck...->c...", powers[:, :d + fold + 2], arr)
-                arr[1:, 0, ...] += np.cumsum(vals, axis=0)[:-1]
+            # each cell starts where the one below ends
+            vals = np.einsum("ck,ck...->c...", powers[:, :d + fold + 2], arr)
+            arr[1:, 0, ...] += np.cumsum(vals, axis=0)[:-1]
             prev = arr
         return PiecewisePoly._make(self.domain, self.breaks, b)
-
-    def multiply_kernel(self, axis: int, k: int) -> "PiecewisePoly":
-        """Multiply by the kernel z^k/k! in z = s_axis - lo_axis, along an axis
-        where this polynomial is constant (one cell, degree 0): the expansion
-        applies a kernel only on an axis its trace's face pins.  The kernel
-        is then the unit slot k of the scaled-monomial basis, so the product
-        holds the constant in that slot."""
-        if k == 0:
-            return self
-        self._check_constant(axis, "for a kernel lift")
-        lead = (slice(None),) * (self.ndim + axis)
-        out = np.zeros(self.coeffs.shape[:self.ndim + axis] + (k + 1,)
-                       + self.coeffs.shape[self.ndim + axis + 1:])
-        out[lead + (slice(k, None),)] = self.coeffs
-        return PiecewisePoly._make(self.domain, self.breaks, out)
 
     def break_jumps(self, axis: int) -> np.ndarray:
         """Largest coefficient jump across each interior break of one axis,
@@ -356,14 +353,11 @@ class PiecewisePoly:
             if i in axes:
                 f = f.antiderivative(i)
                 corner.append(np.array([self.domain.hi[i]]))
+            elif self.cell_counts[i] != 1 or self.degree[i] != 0:
+                raise ValueError(f"axis {i} must be constant to stay out of the integral")
             else:
-                self._check_constant(i, "to stay out of the integral")
                 corner.append(np.array([self.domain.lo[i]]))
         return f.eval_grid(corner).item()
-
-    def _check_constant(self, axis: int, why: str):
-        if self.cell_counts[axis] != 1 or self.degree[axis] != 0:
-            raise ValueError(f"axis {axis} must be constant {why}")
 
     # -------------------------------------------------------------- arithmetic
 

@@ -5,7 +5,12 @@ trace extraction and reconstruction invert each other exactly on piecewise
 polynomials, the one-axis integration identity holds coefficientwise, the
 fundamental-theorem special case round-trips, reconstruction is linear with
 an empirically bounded norm ratio, and the projections cannot be improved
-by small perturbations inside their subspaces.
+by small perturbations inside their subspaces.  Every per-axis lift is an
+antiderivative, so the "fund-int identity" line checks that k folds then
+one more equal k+1 folds.  The kernel identity (k folds of a constant are
+the product with z^k/k!) is checked in tests/test_piecewise.py and
+tests/test_legseries.py, and by the Fraction reference of
+tests/test_exact_reference.py, which keeps its own kernel product.
 
 Each printed line is one `_check` call, in print order inside its suite:
 one measurement per trial, reduced by `np.max` (so a NaN fails the line)

@@ -73,7 +73,7 @@ class TestReconstruct:
         mapping = {a: PiecewisePoly.constant(dom, 0.0) for a in multiindex_range((2, 1))}
         mapping[(2, 1)] = PiecewisePoly.constant(dom, 2.0)
         u = reconstruct(PolyTraceBundle((2, 1), mapping))
-        target = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
+        target = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).antiderivative(1)
         assert coeff_distance(u, target) <= 1e-13
 
     def test_order_zero_is_identity(self):
@@ -247,7 +247,7 @@ def test_public_refusals_still_raise(build, match):
 class TestExtract:
     def test_monomial_traces(self):
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-        u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
+        u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).antiderivative(1)
         bundle = extract_traces_poly(u, (2, 1))
         for alpha in multiindex_range((2, 1)):
             e = bundle.entries[alpha]
@@ -317,7 +317,7 @@ class TestFundInt:
 def test_term_table_sums_to_value():
     # u(x,y) = x^2 y at (1,1): only the top summand contributes, value 1
     dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-    u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
+    u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).antiderivative(1)
     delta = (2, 1)
     total = 0.0
     for alpha in multiindex_range(delta):

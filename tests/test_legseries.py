@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +53,35 @@ def textbook_values(max_degree, x):
     for k in range(1, max_degree):
         out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
     return out * np.sqrt(np.arange(max_degree + 1) + 0.5)[:, None]
+
+
+def kernel_legendre(k):
+    """Classical Legendre coefficients of (x+1)^k/k!, exactly: k factors
+    (x+1)/j, with x P_l = ((l+1) P_{l+1} + l P_{l-1}) / (2l+1)."""
+    a = [Fraction(1)]
+    for j in range(1, k + 1):
+        b = a + [Fraction(0)]  # the factor 1
+        for l, c in enumerate(a):
+            b[l + 1] += c * Fraction(l + 1, 2 * l + 1)
+            if l:
+                b[l - 1] += c * Fraction(l, 2 * l + 1)
+        a = [x / j for x in b]
+    return a
+
+
+def kernel_lift_ulps(c, k):
+    """Largest coefficient error of LegendreSeries([c]).antiderivative(0, k),
+    in ulps (2^-52) of the largest exact coefficient.  The series is c phi_0
+    = c/sqrt(2), so the exact result is c/sqrt(2) (x+1)^k/k!, whose
+    orthonormal coefficient l is c a_l / (sqrt(2) sqrt(l + 1/2))."""
+    got = LegendreSeries(np.array([c])).antiderivative(0, k).coeffs
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = [Decimal(c) * Decimal(a.numerator) / Decimal(a.denominator)
+                 / (Decimal(2) * (Decimal(l) + Decimal("0.5"))).sqrt()
+                 for l, a in enumerate(kernel_legendre(k))]
+        err = max(abs(Decimal(float(g)) - e) for g, e in zip(got, exact))
+        return float(err / max(abs(e) for e in exact) * 2**52)
 
 
 class TestBasis:
@@ -106,11 +137,30 @@ class TestCalculusMaps:
                            rtol=1e-11, atol=1e-11)
 
     def test_kernel_multiplication(self):
+        # along an axis where the series is constant, two folds from -1 are
+        # the product with the kernel (x+1)^2/2 (Cauchy's formula)
         rng = np.random.default_rng(5)
-        f = series_1d(rng.standard_normal(5))
-        g = f.multiply_kernel(0, 2)  # (x+1)^2/2 * f
-        xs = np.linspace(-1, 1, 9)
-        assert np.allclose(at(g, xs), (xs + 1.0) ** 2 / 2.0 * at(f, xs), rtol=1e-12, atol=1e-12)
+        f = LegendreSeries(rng.standard_normal((1, 5)))
+        g = f.antiderivative(0, 2)
+        xs, ys = np.linspace(-1, 1, 9), np.linspace(-1, 1, 7)
+        assert np.allclose(at(g, xs, ys), (xs[:, None] + 1.0) ** 2 / 2.0 * at(f, xs, ys),
+                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_kernel_lift_of_a_constant_against_exact_coefficients(self, k):
+        # k folds of a constant are its kernel lift.  The worst error over
+        # these 201 constants was 0.61, 1.11, 3.46, 8.14, 16.4 and 31.3 ulps
+        # for k = 1..6, about 2x per fold from k = 3; the bound is twice that
+        # envelope, 32 ulps at k = 5, doubling per fold.
+        cs = np.concatenate([[0.7371], np.random.default_rng(0).uniform(-2.0, 2.0, 200)])
+        worst = max(kernel_lift_ulps(float(c), k) for c in cs)
+        assert worst <= 32.0 * 2.0 ** (k - 5), worst
+
+    def test_antiderivative_fold_count_is_non_negative(self):
+        f = series_1d([1.0, 2.0, 3.0])
+        assert f.antiderivative(0, 0) is f  # zero folds are the identity
+        with pytest.raises(ValueError, match="non-negative"):
+            f.antiderivative(0, -1)
 
     def test_derivative_inverts_antiderivative(self):
         rng = np.random.default_rng(6)

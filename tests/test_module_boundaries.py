@@ -3,9 +3,10 @@
 reads, no module imports a name it never reads, no function falls back to
 a default quadrature rule, no einsum searches a contraction path on every
 call or builds its spec at run time, every name in `sobrecon.__all__`
-exists, every sobrecon name the benchmark's tracer wraps is still there, and
-the coefficient algebra (`piecewise`, `legseries`) imports nothing from
-`quadrature`.
+exists, every sobrecon name the benchmark's tracer wraps is still there, the
+coefficient algebra (`piecewise`, `legseries`) imports nothing from
+`quadrature`, and a trace is lifted along an axis only by its a-fold
+antiderivative.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -129,6 +130,53 @@ def test_expansion_puts_polynomials_on_breaks_through_the_public_step():
     tree = ast.parse((PACKAGE / "expansion.py").read_text())
     names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
     assert not names & {"_refine_axis", "_union", "_accumulate", "_zeros"}
+
+
+def second_lift_paths(source: str) -> list[str]:
+    """`Class.multiply_kernel (line n)` for each class in `source` that
+    defines a multiply_kernel method, and `multiply_kernel call (line n)` for
+    each call of one: the kernel lift of a trace constant along an axis is
+    its a-fold antiderivative there, so it needs no second path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.multiply_kernel (line {f.lineno})" for f in node.body
+                      if isinstance(f, ast.FunctionDef) and f.name == "multiply_kernel"]
+        elif isinstance(node, ast.Call) and "multiply_kernel" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(f"multiply_kernel call (line {node.lineno})")
+    return found
+
+
+def test_one_lift_per_axis():
+    # per axis the expansion's operator is the a-fold antiderivative, below
+    # top order too, and apply_tensor and reconstruct call it themselves
+    offenders = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+                 if (found := second_lift_paths(path.read_text()))}
+    assert not offenders, offenders
+    tree = ast.parse((PACKAGE / "expansion.py").read_text())
+    lifters = {func.name: {n.func.attr for n in ast.walk(func) if isinstance(n, ast.Call)
+                           and isinstance(n.func, ast.Attribute)}
+               for func in tree.body if isinstance(func, ast.FunctionDef)
+               and func.name in ("apply_tensor", "reconstruct")}
+    assert set(lifters) == {"apply_tensor", "reconstruct"}
+    assert all("antiderivative" in calls for calls in lifters.values()), lifters
+
+
+def test_second_lift_detector():
+    source = (
+        "class A:\n"
+        "    def multiply_kernel(self, axis, k):\n"
+        "        return self\n"
+        "    def antiderivative(self, axis, times=1):\n"
+        "        return self\n"
+        "def lift(f):\n"
+        "    return f.multiply_kernel(0, 1).antiderivative(1)\n"
+        "multiply_kernel(A(), 0, 1)\n"
+    )
+    assert sorted(second_lift_paths(source)) == [
+        "A.multiply_kernel (line 2)", "multiply_kernel call (line 7)",
+        "multiply_kernel call (line 8)"]
 
 
 def quadrature_imports(source: str) -> list[int]:

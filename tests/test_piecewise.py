@@ -8,6 +8,7 @@ import pytest
 from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.expansion import PolyTraceBundle, apply_tensor, reconstruct
+from sobrecon.legseries import LegendreSeries
 from sobrecon.piecewise import PiecewisePoly, coeff_distance
 from sobrecon.projection import sobolev_project_legendre
 from sobrecon.quadrature import QuadratureRule
@@ -171,7 +172,7 @@ class TestCalculus:
     def test_mixed_derivative_value(self):
         # f(x, y) = x^2 y on [0,1]^2; df/dx at (0.3, 0.7) = 2*0.3*0.7
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-        f = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
+        f = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).antiderivative(1)
         assert f.derivative(0)(0.3, 0.7) == pytest.approx(0.42, rel=1e-14)
 
     def test_antiderivative_of_one(self):
@@ -209,9 +210,12 @@ class TestCalculus:
             assert once.coeffs.flags.c_contiguous
             assert once.degree == folds.degree and once.cell_counts == folds.cell_counts
 
-    def test_antiderivative_needs_a_fold(self):
-        with pytest.raises(ValueError, match="at least one fold"):
-            two_cell_step().antiderivative(0, 0)
+    def test_antiderivative_fold_count_is_non_negative(self):
+        f = two_cell_step()
+        assert f.antiderivative(0, 0) is f  # zero folds are the identity
+        for times in (-1, -2):
+            with pytest.raises(ValueError, match="non-negative"):
+                f.antiderivative(0, times)
 
     def test_derivative_inverts_antiderivative(self):
         rng = np.random.default_rng(7)
@@ -281,12 +285,13 @@ class TestIntegrals:
         # prod_i z_i^a_i / a_i! with z_i = s_i - lo_i, on a dyadic box with
         # breaks: its integral over axis i is (hi_i - lo_i)^(a_i+1) / (a_i+1)!,
         # and an axis left out of the integral has a_i = 0 and one cell.  The
-        # product is built on one cell, each kernel along an axis where the
-        # partial product is still constant, then put on the breaks.
+        # product is built on one cell, each kernel as the a_i-fold
+        # antiderivative along an axis where the partial product is still
+        # constant, then put on the breaks.
         dom = HyperRect(lo, hi)
         f = PiecewisePoly.constant(dom, 1.0)
         for i, a in enumerate(powers):
-            f = f.multiply_kernel(i, a)
+            f = f.antiderivative(i, a)
         f = f.on_breaks(tuple(np.array(b) for b in breaks))
         assert f.cell_counts == tuple(len(b) + 1 for b in breaks)
         kept = range(dom.ndim) if axes is None else axes
@@ -300,7 +305,7 @@ class TestIntegrals:
         # constant along axis 1, so integrating axis 0 alone is fine
         assert f.integral(axes=(0,)) == pytest.approx(2.0)  # int of (x+1) on [-1,1]
         with pytest.raises(ValueError):
-            f.multiply_kernel(1, 1).integral(axes=(0,))
+            f.antiderivative(1).integral(axes=(0,))
 
 
 class TestAlgebra:
@@ -317,7 +322,7 @@ class TestAlgebra:
         f = two_cell_step()
         assert (2.5 * f)(0.5) == pytest.approx(2.5)
         with pytest.raises(TypeError):
-            f * f  # only scalars and kernels (multiply_kernel) multiply
+            f * f  # only scalars multiply
 
     def test_reconstruct_matches_pairwise_sum(self):
         # the summed lifts of a bundle whose entries have different break grids
@@ -348,7 +353,7 @@ class TestAlgebra:
 
     def test_restrict_pins_lower_corner(self):
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-        f = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
+        f = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).antiderivative(1)
         r = f.restrict((-1, 0))  # pin x = 0: result is identically 0
         assert np.all(r.coeffs == 0.0)
         r2 = f.restrict((0, -1))
@@ -372,8 +377,9 @@ class TestKernelMultiply:
     @pytest.mark.parametrize("n_breaks", [(3,), (2, 0), (0, 3), (2, 0, 1)])
     def test_matches_general_product(self, n_breaks):
         # every axis is tried as the kernel axis of the polynomial pinned
-        # there (constant along it), so breaks lie off it; the reference is
-        # the pointwise product z^k/k! * f at Gauss nodes
+        # there (constant along it), so breaks lie off it; the k-fold
+        # antiderivative along it is checked against the pointwise product
+        # z^k/k! * f at Gauss nodes (Cauchy's formula for repeated integration)
         nd = len(n_breaks)
         rng = np.random.default_rng(10 * nd + sum(n_breaks))
         for trial in range(3):
@@ -385,7 +391,7 @@ class TestKernelMultiply:
                 axes, _ = gauss_grid([f], nodes=4)
                 grids = np.meshgrid(*axes, indexing="ij")
                 for k in range(5):
-                    got = f.multiply_kernel(axis, k)
+                    got = f.antiderivative(axis, k)
                     degree = tuple(d + (k if i == axis else 0) for i, d in enumerate(f.degree))
                     assert got.degree == degree and got.cell_counts == f.cell_counts
                     assert all(np.array_equal(a, b) for a, b in zip(got.breaks, f.breaks))
@@ -394,18 +400,20 @@ class TestKernelMultiply:
                     scale = np.max(np.abs(ref))
                     assert np.max(np.abs(got(*grids) - ref)) <= 1e-13 * scale, (axis, k)
 
-    @pytest.mark.parametrize("n_breaks, degree", [((1, 0), (0, 0)), ((0, 0), (2, 0))],
-                             ids=["breaks", "degree"])
-    def test_refuses_a_varying_axis(self, n_breaks, degree):
-        # a kernel lifts only a function constant along its axis (one cell,
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_poly(rng, 2, (0, 0), (1, 0)),
+        lambda rng: random_poly(rng, 2, (2, 0), (0, 0)),
+        lambda rng: LegendreSeries(rng.standard_normal((3, 1))),
+    ], ids=["breaks", "degree", "legendre"])
+    def test_refuses_a_varying_axis(self, make):
+        # a kernel lifts only a trace constant along its axis (one cell,
         # degree 0): axis 0 here has a break or a positive degree
-        f = random_poly(np.random.default_rng(6), 2, degree, n_breaks)
-        with pytest.raises(ValueError, match="axis 0 must be constant for a kernel lift"):
-            f.multiply_kernel(0, 2)
-        with pytest.raises(ValueError, match="axis 0 must be constant for a kernel lift"):
+        f = make(np.random.default_rng(6))
+        with pytest.raises(ValueError, match="varies along inactive axis 0"):
             apply_tensor((1, 0), (2, 0), f)
-        assert f.multiply_kernel(0, 0) is f  # order 0 is the identity on any input
-        assert f.multiply_kernel(1, 2).degree == (degree[0], 2)
+        assert apply_tensor((0, 0), (2, 0), f) is f  # order 0 is the identity on any input
+        assert apply_tensor((2, 0), (2, 0), f).degree == (f.degree[0] + 2, 0)  # top order
+        assert apply_tensor((0, 2), (0, 3), f).degree == (f.degree[0], 2)
 
 
 class TestValidation:

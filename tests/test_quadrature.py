@@ -317,7 +317,7 @@ class TestDcNorm:
         # u = x^2 y on [0,1]^2 at order (2,1): only the top trace (=2) is
         # nonzero, contributing |2| * sqrt(area) = 2
         dom = HyperRect((0.0, 0.0), (1.0, 1.0))
-        u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).multiply_kernel(1, 1)
+        u = (2.0 * PiecewisePoly.kernel(dom, 0, 2)).antiderivative(1)
         got = dc_error(u, None, (2, 1), dom, QuadratureRule(nodes=4, panels=1))
         assert got == pytest.approx(2.0, rel=1e-13)
 
