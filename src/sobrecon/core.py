@@ -151,27 +151,18 @@ class TraceFunction:
         """Values on the tensor grid spanned by one node array per active
         axis; each pinned axis is read as the one-node array [domain.lo[i]]
         and squeezed out, so a vertex face reads eval_grid([]) as 0-d."""
-        return next(face_grids([self], axes))
-
-
-def face_grids(traces: Sequence[TraceFunction], axes: Sequence[np.ndarray]):
-    """Yield eval_grid(axes) of each trace in order, for traces of one
-    function on one face, from one derivative_grids read of that function:
-    its per-axis tables (and a LegendreSeries' derivatives) are built once."""
-    first = traces[0]
-    if len(axes) != len(first.active):
-        raise ValueError(f"expected {len(first.active)} axes, got {len(axes)}")
-    it = iter(axes)
-    full = [next(it) if b == 0 else np.array([first.f.domain.lo[i]])
-            for i, b in enumerate(first.face)]
-    pinned = tuple(i for i, b in enumerate(first.face) if b < 0)
-    for values in first.f.derivative_grids([t.alpha for t in traces], full):
-        yield np.squeeze(values, axis=pinned)
+        if len(axes) != len(self.active):
+            raise ValueError(f"expected {len(self.active)} axes, got {len(axes)}")
+        it = iter(axes)
+        full = [next(it) if b == 0 else np.array([self.f.domain.lo[i]])
+                for i, b in enumerate(self.face)]
+        pinned = tuple(i for i, b in enumerate(self.face) if b < 0)
+        return np.squeeze(next(self.f.derivative_grids([self.alpha], full)), axis=pinned)
 
 
 def boundary_trace(f, alpha, order) -> TraceFunction:
     """Trace of D^alpha f on the face it lives on in an order-`order`
-    expansion, for any f with `domain` and `derivative_grid`; nothing is
+    expansion, for any f with `domain` and `derivative_grids`; nothing is
     evaluated until the trace is read with eval_grid."""
     alpha = as_multiindex(alpha, ndim=f.domain.ndim)
     return TraceFunction(face_spec(alpha, order), f, alpha)

@@ -24,8 +24,9 @@ trace's pinned axes, the PolyTraceBundle constructor's lattice, entry types
 and faces, both through one pinned-axis check); bundles that
 extract_traces_poly, scaled and + build are valid by construction.  Every
 function kind also gives its traces through core.boundary_trace, as a
-TraceFunction(face, f, alpha): that is how dc_error compares a target with
-its approximant, and how term_at_point evaluates one summand.
+TraceFunction(face, f, alpha): that is how the trace projections and
+term_at_point read one summand.  dc_error reads the same faces without
+TraceFunctions, through quadrature.error_components.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .core import (
     active_axes,
     as_multiindex,
     contract_axes,
+    face_spec,
     leq,
     multiindex_range,
 )
@@ -87,9 +89,8 @@ def _check_constant_on(f: Trace, axes, what: str):
 @functools.lru_cache(maxsize=64)
 def _lattice_faces(order: MultiIndex) -> tuple[tuple[MultiIndex, FaceSpec], ...]:
     """(alpha, face_spec(alpha, order)) for every alpha <= order, in
-    multiindex_range order; `order` is normalized, so nothing is re-checked."""
-    return tuple((alpha, tuple(0 if a == d else -1 for a, d in zip(alpha, order)))
-                 for alpha in multiindex_range(order))
+    multiindex_range order; cached, so each order is validated once."""
+    return tuple((alpha, face_spec(alpha, order)) for alpha in multiindex_range(order))
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,8 +46,11 @@ from .quadrature import QuadratureRule, grid_quadrature, rule_for
 
 
 def cell_edges(counts, ndim: int) -> tuple[tuple[float, ...], ...]:
-    """Interior edges of the uniform cell grid on the standard hypercube."""
+    """Interior edges of the uniform cell grid on the standard hypercube;
+    every axis needs at least one cell."""
     counts = as_multiindex(counts, ndim=ndim)
+    if min(counts) < 1:
+        raise ValueError(f"cell counts must be >= 1, got {counts}")
     return tuple(tuple(np.linspace(-1.0, 1.0, k + 1)[1:-1]) for k in counts)
 
 

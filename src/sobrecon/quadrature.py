@@ -11,10 +11,12 @@ fields, and rule_for completes a base rule for a target.  Every integral is
 the grid values contracted with one weight vector per axis by
 ``core.contract_axes``.
 
-Three error norms are provided, each of f alone when g is None: plain L2,
-the mixed-smoothness Sobolev norm (sum over the box alpha <= order), and
-the discrete-continuous norm that aggregates the face L2 norms of all
-boundary traces.
+Every error norm, of f alone when g is None, is one ``error_components``
+read of the squared L2 norms of D^alpha (f - g): plain L2 (alpha = 0), the
+mixed-smoothness Sobolev norm (the box alpha <= order), the isotropic norm
+that ``bench.error_norms`` sums from the same components, and the
+discrete-continuous norm, whose D^alpha is read on the face where its
+boundary trace lives (pinned axes at their lower endpoint).
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import numpy as np
 
 from .core import (
     HyperRect,
-    active_axes,
     as_multiindex,
     contract_axes,
-    face_grids,
+    face_spec,
     multiindex_range,
 )
 
@@ -230,27 +231,48 @@ def integrate(f, domain: HyperRect, rule: QuadratureRule) -> float:
     return float(contract_axes(values, weights))
 
 
+def _face_axes(axes, weights, face, domain: HyperRect):
+    """Node and weight arrays of a face's tensor grid: an active axis keeps
+    the domain's arrays, a pinned axis is the one node lo_i with weight 1.
+    (perfbench/tracing.py counts the face-grid nodes of dc_error through
+    this name.)"""
+    return ([x if b == 0 else np.array([lo]) for x, b, lo in zip(axes, face, domain.lo)],
+            [w if b == 0 else np.ones(1) for w, b in zip(weights, face)])
+
+
 def error_components(f, g, indices, domain: HyperRect,
-                     rule: QuadratureRule) -> dict:
+                     rule: QuadratureRule, order=None) -> dict:
     """Squared L2 norm of D^alpha (f - g) (of D^alpha f when g is None) for
-    every alpha in `indices`, in that order, from one quadrature grid that
-    each operand reads once."""
-    axes, weights = grid_quadrature(domain, rule)
+    every alpha in `indices`, in that order.
+
+    Without `order` each is read on the domain's quadrature grid; given
+    `order`, on the face face_spec(alpha, order) where the trace of D^alpha
+    lives in an order-`order` expansion.  The indices of one grid are read
+    together, so each operand reads each grid once."""
+    domain_axes, domain_weights = grid_quadrature(domain, rule)
     indices = list(indices)
-    f_grids = f.derivative_grids(indices, axes)
-    g_grids = None if g is None else g.derivative_grids(indices, axes)
-    components = {}
+    if order is not None:  # one entry per axis, or _face_axes would drop axes
+        order = as_multiindex(order, ndim=domain.ndim)
+    faces = {}  # face (None: the whole domain) -> its indices, in order
     for alpha in indices:
-        values = next(f_grids)
-        if g_grids is None:
-            _check_finite(values, axes)
-            squares = values * values  # an operand's own grid: never written
-        else:
-            squares = values - next(g_grids)
-            _check_finite(squares, axes)
-            squares *= squares
-        components[alpha] = float(contract_axes(squares, weights))
-    return components
+        faces.setdefault(None if order is None else face_spec(alpha, order), []).append(alpha)
+    components = {}
+    for face, group in faces.items():
+        axes, weights = ((domain_axes, domain_weights) if face is None
+                         else _face_axes(domain_axes, domain_weights, face, domain))
+        f_grids = f.derivative_grids(group, axes)
+        g_grids = None if g is None else g.derivative_grids(group, axes)
+        for alpha in group:
+            values = next(f_grids)
+            if g_grids is None:
+                _check_finite(values, axes)
+                squares = values * values  # an operand's own grid: never written
+            else:
+                squares = values - next(g_grids)
+                _check_finite(squares, axes)
+                squares *= squares
+            components[alpha] = float(contract_axes(squares, weights))
+    return {alpha: components[alpha] for alpha in indices}
 
 
 def l2_error(f, g, domain: HyperRect, rule: QuadratureRule) -> float:
@@ -272,37 +294,12 @@ def sobolev_error(f, g, order, domain: HyperRect, rule: QuadratureRule) -> float
     return math.sqrt(max(sum(comp.values()), 0.0))
 
 
-def _face_axes(axes, weights, face):
-    """Node and weight arrays of the face's active axes, taken from the
-    per-axis arrays of the whole domain.  (perfbench/tracing.py counts the
-    face-grid nodes of dc_error through this name.)"""
-    act = active_axes(face)
-    return [axes[i] for i in act], [weights[i] for i in act]
-
-
 def dc_error(f, g, order, domain: HyperRect, rule: QuadratureRule) -> float:
     """Discrete-continuous norm of f - g (of f alone when g is None):
-    root-sum-of-squares of the face L2 norms of all boundary traces.
+    root-sum-of-squares of the face L2 norms of all boundary traces, the
+    trace of D^alpha read on its face face_spec(alpha, order).
 
-    Operands must implement boundary_trace(alpha, order).  The traces are
-    grouped by face, each operand's traces on a face are read together
-    (core.face_grids), and the face norms are summed in lattice order."""
-    order = as_multiindex(order)
-    domain_axes, domain_weights = grid_quadrature(domain, rule)
-    lattice = multiindex_range(order)
-    faces = {}  # face -> the traces of f (and g) on it, in lattice order
-    for alpha in lattice:
-        tf = f.boundary_trace(alpha, order)
-        faces.setdefault(tf.face, []).append(
-            (tf, None if g is None else g.boundary_trace(alpha, order)))
-    squares = {}
-    for face, pairs in faces.items():
-        # one _face_axes call per trace, as perfbench/tracing.py counts them
-        grids = [_face_axes(domain_axes, domain_weights, face) for _ in pairs]
-        f_values = face_grids([tf for tf, _ in pairs], grids[0][0])
-        g_values = None if g is None else face_grids([tg for _, tg in pairs], grids[0][0])
-        for (tf, _), (axes, weights) in zip(pairs, grids):
-            values = next(f_values) if g is None else next(f_values) - next(g_values)
-            _check_finite(values, axes)
-            squares[tf.alpha] = float(contract_axes(np.asarray(values, float) ** 2, weights))
-    return math.sqrt(max(sum(squares[alpha] for alpha in lattice), 0.0))
+    Both operands must supply derivative values on tensor grids up to the
+    requested order."""
+    comp = error_components(f, g, multiindex_range(order), domain, rule, order)
+    return math.sqrt(max(sum(comp.values()), 0.0))

@@ -5,8 +5,8 @@ a default quadrature rule, no einsum searches a contraction path on every
 call or builds its spec at run time, every name in `sobrecon.__all__`
 exists, every sobrecon name the benchmark's tracer wraps is still there, the
 coefficient algebra (`piecewise`, `legseries`) imports nothing from
-`quadrature`, and a trace is lifted along an axis only by its a-fold
-antiderivative.
+`quadrature`, a trace is lifted along an axis only by its a-fold
+antiderivative, and every error norm is read by `error_components` alone.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -177,6 +177,43 @@ def test_second_lift_detector():
     assert sorted(second_lift_paths(source)) == [
         "A.multiply_kernel (line 2)", "multiply_kernel call (line 7)",
         "multiply_kernel call (line 8)"]
+
+
+def contract_callers(source: str) -> list[str]:
+    """Top-level functions of `source` that call contract_axes, by name or
+    attribute, in the order they are defined."""
+    return [func.name for func in ast.parse(source).body
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and "contract_axes" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                for n in ast.walk(func))]
+
+
+def test_one_error_norm_reader():
+    # every error norm, the dc norm's faces too, is one error_components
+    # read: no norm has a squaring loop of its own, and core keeps no
+    # second, trace-by-trace face reader
+    quadrature = (PACKAGE / "quadrature.py").read_text()
+    assert contract_callers(quadrature) == ["integrate", "error_components"]
+    core = ast.parse((PACKAGE / "core.py").read_text())
+    assert "face_grids" not in {n.name for n in core.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_contract_caller_detector():
+    source = (
+        "def integrate(f, domain, rule):\n"
+        "    return contract_axes(f, w)\n"
+        "def sobolev_error(f, g):\n"
+        "    return error_components(f, g)\n"
+        "def dc_error(f, g, order):\n"
+        "    def face(v):\n"
+        "        return core.contract_axes(v, w)\n"
+        "    return face(f)\n"
+        "class A:\n"
+        "    def norm(self):\n"
+        "        return contract_axes(self, w)\n"
+    )
+    assert contract_callers(source) == ["integrate", "dc_error"]
 
 
 def quadrature_imports(source: str) -> list[int]:

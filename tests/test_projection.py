@@ -300,6 +300,17 @@ def test_degree_256_projection_holds_one_basis_table():
 
 
 class TestSobolevStep:
+    def test_step_projection_refuses_an_empty_cell_grid(self):
+        # zero cells is not one cell: cell_edges refuses it, so the public
+        # step projection does too, before any node is read
+        with pytest.raises(ValueError, match=r"cell counts must be >= 1, got \(0,\)"):
+            cell_edges((0,), 1)
+        with pytest.raises(ValueError, match=r"cell counts must be >= 1, got \(4, 0\)"):
+            cell_edges((4, 0), 2)
+        u = get_example("example1-1d")
+        with pytest.raises(ValueError, match="cell counts must be >= 1"):
+            sobolev_project_step(u, (0,), (0,), QuadratureRule(nodes=4, panels=1))
+
     def test_order_zero_is_cell_average(self):
         # the mean of u over each cell, by quadrature on that cell alone
         u = get_example("example1-1d")

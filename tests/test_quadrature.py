@@ -346,6 +346,47 @@ class TestDcNorm:
         assert dc_error(u, zero, (5,), u.domain, rule) == \
             pytest.approx(dc_error(u, None, (5,), u.domain, rule), rel=1e-13)
 
+    def test_operands_need_only_derivative_grids(self):
+        # the faces are read through error_components, so an operand that
+        # gives no boundary_trace still has a dc norm
+        class GridsOnly:
+            def __init__(self, f):
+                self.domain = f.domain
+                self.derivative_grids = f.derivative_grids
+
+        u = get_example("example1-1d")
+        series = LegendreSeries(np.random.default_rng(4).standard_normal(12))
+        rule = rule_for(u, QuadratureRule(nodes=20, panels=4))
+        for g in (None, u):
+            assert dc_error(GridsOnly(series), g, (5,), u.domain, rule) == \
+                dc_error(series, g, (5,), u.domain, rule)
+
+    def test_one_basis_table_per_face(self, monkeypatch):
+        calls = []
+        values = legseries.legendre_values
+
+        def counted(max_degree, x):
+            calls.append((max_degree, np.size(x)))
+            return values(max_degree, x)
+
+        monkeypatch.setattr(legseries, "legendre_values", counted)
+        u = get_example("example1-1d")
+        g = LegendreSeries(np.random.default_rng(4).standard_normal(12))
+        dc_error(u, g, (5,), u.domain, rule_for(u, QuadratureRule(nodes=20, panels=4)))
+        # the vertex face (alpha < 5) at its one node, then the interval face
+        assert calls == [(11, 1), (11, 1600)]
+
+    def test_order_above_smoothness_refused(self):
+        u = get_example("example1-1d")
+        with pytest.raises(ValueError, match=r"derivative \(6,\) unavailable \(delta=\(5,\)\)"):
+            dc_error(u, None, (6,), u.domain, rule_for(u, QuadratureRule(nodes=4, panels=1)))
+
+    @pytest.mark.parametrize("order", [(1,), (1, 1, 1), 2])
+    def test_order_needs_one_entry_per_axis(self, order):
+        f = PiecewisePoly.constant(HyperRect.cube(2), 1.0)
+        with pytest.raises(ValueError, match="expected 2 entries"):
+            dc_error(f, None, order, f.domain, QuadratureRule(nodes=4, panels=1))
+
 
 @pytest.mark.parametrize("name", [
     "integrate", "l2_error", "sobolev_error", "dc_error", "term_at_point",
