@@ -77,20 +77,23 @@ def error_norms(u: AnalyticFunction, approx, rule) -> tuple[float, float, float]
     return l2, s, w
 
 
-def norm_rule(u: AnalyticFunction, approx) -> QuadratureRule:
-    """Quadrature rule for the error norms of `approx` against `u`.
+def _exact_nodes(q: int) -> int:
+    """Gauss nodes per panel exact to degree q: n reach 2n - 1, a rule takes >= 2."""
+    return max(2, (q + 2) // 2)
 
-    The rule splits at the approximant's cell edges (`approx.breaks` of a
-    piecewise polynomial; a Legendre series has none).  When `u` declares
-    `piece_degree`, (D^alpha (u - approx))^2 is a polynomial of degree at
-    most 2 * max(deg u, deg approx) on each cell of the common refinement,
-    so max(deg u, deg approx) + 1 Gauss nodes on each cell integrate it
-    exactly up to rounding; a rule takes at least 2 nodes, so piecewise
-    constants get 2.  Other targets get a flat 16-node rule on 32 (1-D) or
-    16 (otherwise) baseline panels per axis."""
+
+def norm_rule(u: AnalyticFunction, approx) -> QuadratureRule:
+    """Quadrature rule for the error norms of `approx` against `u`, split at
+    the approximant's cell edges (`approx.breaks` of a piecewise polynomial;
+    a Legendre series has none).  When `u` declares `piece_degree`,
+    (D^alpha (u - approx))^2 is a polynomial of degree at most
+    2 * max(deg u, deg approx) on each cell of the common refinement, so one
+    panel per cell with the nodes exact to that degree integrates it exactly
+    up to rounding.  Other targets get a flat 16-node rule on 32 (1-D) or 16
+    (otherwise) baseline panels per axis."""
     splits = approx.breaks if isinstance(approx, PiecewisePoly) else None
     if u.piece_degree is not None:
-        nodes = max(max(u.piece_degree), max(approx.degree), 1) + 1
+        nodes = _exact_nodes(2 * max(max(u.piece_degree), max(approx.degree)))
         return rule_for(u, QuadratureRule(nodes=nodes, panels=1), extra_splits=splits)
     panels = 32 if u.domain.ndim == 1 else 16
     return rule_for(u, QuadratureRule(panels=panels), extra_splits=splits)
@@ -115,13 +118,20 @@ def check_sweep(method: str, params):
 
 
 def approximant(u: AnalyticFunction, method: str, gamma, param: int):
-    """The order-`gamma` projection of `u` at one sweep parameter."""
+    """The order-`gamma` projection of `u` at one sweep parameter.  Legendre
+    reads max(16, param + 8) Gauss nodes on 4 panels per axis.  A step
+    projection of a target that declares `piece_degree` reads one panel per
+    cell and breakpoint segment, exact to degree max(piece_degree), the most
+    a trace of D^alpha u has there, so its cell averages are exact up to
+    rounding; other targets' step projections read 16 nodes on 4 panels."""
     check_sweep(method, [param])
     size = (int(param),) * u.domain.ndim
     if method == "legendre":
         rule = QuadratureRule(nodes=max(16, param + 8), panels=4)
         return sobolev_project_legendre(u, gamma, size, rule)
-    return sobolev_project_step(u, gamma, size, QuadratureRule(nodes=16, panels=4))
+    rule = (QuadratureRule(nodes=16, panels=4) if u.piece_degree is None
+            else QuadratureRule(nodes=_exact_nodes(max(u.piece_degree)), panels=1))
+    return sobolev_project_step(u, gamma, size, rule)
 
 
 def sweep_point(u: AnalyticFunction, method: str, gamma, param: int):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,8 +21,8 @@ from sobrecon.bench import (
     sweep_point,
 )
 from sobrecon.core import HyperRect, multiindex_range
-from sobrecon.piecewise import PiecewisePoly
-from sobrecon.projection import cell_edges
+from sobrecon.piecewise import PiecewisePoly, coeff_distance
+from sobrecon.projection import cell_edges, sobolev_project_step
 from sobrecon.quadrature import QuadratureRule, error_components, grid_quadrature, rule_for
 from sobrecon.targets import get_example
 
@@ -319,6 +320,58 @@ class TestDegreeSizedNormRule:
                 want = rule_for(u, QuadratureRule(nodes=nodes, panels=1),
                                 extra_splits=edges)
             assert norm_rule(u, approx) == want
+
+
+class TestDegreeSizedStepRule:
+    """The step projection of a target that declares `piece_degree` reads
+    one Gauss panel per cell with the fewest nodes exact to that degree:
+    its cell averages match the flat 16-node rule's up to rounding."""
+
+    FLAT = QuadratureRule(nodes=16, panels=4)
+
+    def test_exact_nodes(self):
+        assert [bench._exact_nodes(q) for q in range(8)] == [2, 2, 2, 2, 3, 3, 4, 4]
+
+    @pytest.mark.parametrize("gamma", [(0, 0), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("param", [1, 3, 5, 64])  # odd K: +-0.5 fall inside cells
+    def test_matches_the_flat_rule_on_example2(self, gamma, param):
+        u = get_example("example2-2d")
+        want = sobolev_project_step(u, gamma, (param, param), self.FLAT)
+        assert coeff_distance(approximant(u, "step", gamma, param), want) <= 1e-13
+
+    def test_matches_the_flat_rule_on_a_random_quartic(self):
+        u = get_example("poly-random", seed=0, ndim=1, delta=(2,))
+        assert u.piece_degree == (4,)
+        want = sobolev_project_step(u, (0,), (8,), self.FLAT)
+        assert coeff_distance(approximant(u, "step", (0,), 8), want) <= 1e-13
+        # one node fewer than exact to degree 4 misses the quartic term
+        short = sobolev_project_step(u, (0,), (8,), QuadratureRule(nodes=2, panels=1))
+        assert coeff_distance(short, want) > 1e-8
+
+    @pytest.mark.parametrize("figure, read", [
+        ("fig2", [(8, 1376), (16, 1504)]),  # example1-1d declares no piece_degree
+        ("fig4", [(8, 16), (8, 16), (16, 32), (16, 32)]),
+    ])
+    def test_grid_per_axis(self, figure, read, monkeypatch):
+        preset, sizes, real = FIGURES[figure], [], projection.step_values
+
+        def counted(size, x):
+            sizes.append((size, len(x)))
+            return real(size, x)
+
+        monkeypatch.setattr(projection, "step_values", counted)
+        run_sweep(get_example(preset["example"]), "step", preset["gammas"], [8, 16])
+        assert sizes == read
+
+    def test_peak_memory_at_fig4s_finest_grid(self):
+        u = get_example("example2-2d")
+        tracemalloc.start()
+        try:
+            approximant(u, "step", (3, 3), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6  # 10 MB on a 16-node rule: a 1024 x 1024 top trace
 
 
 def test_csv_roundtrip(tmp_path):
