@@ -28,7 +28,12 @@ from .expansion import (
 )
 from .legseries import LegendreSeries, legendre_values
 from .piecewise import PiecewisePoly, coeff_distance
-from .projection import sobolev_project_legendre, sobolev_project_step
+from .projection import (
+    legendre_trace_bundles,
+    sobolev_project_legendre,
+    sobolev_project_step,
+    step_trace_bundles,
+)
 from .quadrature import (
     AxisGrading,
     QuadratureRule,
@@ -69,6 +74,7 @@ __all__ = [
     "get_example",
     "integrate",
     "l2_error",
+    "legendre_trace_bundles",
     "legendre_values",
     "multiindex_range",
     "random_poly_function",
@@ -78,5 +84,6 @@ __all__ = [
     "sobolev_error",
     "sobolev_project_legendre",
     "sobolev_project_step",
+    "step_trace_bundles",
     "sweep_point",
 ]

@@ -9,9 +9,10 @@ emitted as CSV (param, l2_error, s_error, w_error, runtime_s), one file per
 
 A sweep runs every order at one parameter before it moves to the next
 parameter.  At a fixed parameter all orders project on the same quadrature
-grid at the same degree or cell count, so their projections share each
-weighted basis table through one ``projection.shared_tables`` block, which
-is closed, and its tables dropped, before the next parameter.
+grid at the same degree or cell count, so one ``trace_bundles`` call
+projects the traces of every order in one pass over the nodes; each
+order's approximant is then reconstructed and measured on its own, and
+dropped before the next order's.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import numpy as np
 
 from .analytic import AnalyticFunction
 from .core import as_multiindex, leq, multiindex_range
+from .expansion import PolyTraceBundle, reconstruct
 from .piecewise import PiecewisePoly
-from .projection import shared_tables, sobolev_project_legendre, sobolev_project_step
+from .projection import legendre_trace_bundles, step_trace_bundles
 from .quadrature import QuadratureRule, error_components, rule_for
 from .verify import CheckResult
 
@@ -117,29 +119,43 @@ def check_sweep(method: str, params):
                          f"got {below}")
 
 
-def approximant(u: AnalyticFunction, method: str, gamma, param: int):
-    """The order-`gamma` projection of `u` at one sweep parameter.  Legendre
-    reads max(16, param + 8) Gauss nodes on 4 panels per axis.  A step
-    projection of a target that declares `piece_degree` reads one panel per
-    cell and breakpoint segment, exact to degree max(piece_degree), the most
-    a trace of D^alpha u has there, so its cell averages are exact up to
-    rounding; other targets' step projections read 16 nodes on 4 panels."""
+def trace_bundles(u: AnalyticFunction, method: str, orders, param: int) -> dict:
+    """{gamma: PolyTraceBundle} of every order in `orders` at one sweep
+    parameter, projected in one pass.  Legendre reads max(16, param + 8)
+    Gauss nodes on 4 panels per axis.  A step projection of a target that
+    declares `piece_degree` reads one panel per cell and breakpoint segment,
+    exact to degree max(piece_degree), the most a trace of D^alpha u has
+    there, so its cell averages are exact up to rounding; other targets'
+    step projections read 16 nodes on 4 panels."""
     check_sweep(method, [param])
     size = (int(param),) * u.domain.ndim
     if method == "legendre":
         rule = QuadratureRule(nodes=max(16, param + 8), panels=4)
-        return sobolev_project_legendre(u, gamma, size, rule)
+        return legendre_trace_bundles(u, orders, size, rule)
     rule = (QuadratureRule(nodes=16, panels=4) if u.piece_degree is None
             else QuadratureRule(nodes=_exact_nodes(max(u.piece_degree)), panels=1))
-    return sobolev_project_step(u, gamma, size, rule)
+    return step_trace_bundles(u, orders, size, rule)
+
+
+def approximant(u: AnalyticFunction, method: str, gamma, param: int):
+    """The order-`gamma` projection of `u` at one sweep parameter, on the
+    rule `trace_bundles` reads."""
+    (bundle,) = trace_bundles(u, method, [gamma], param).values()
+    return reconstruct(bundle)
+
+
+def bundle_errors(u: AnalyticFunction, bundle: PolyTraceBundle) -> tuple[float, float, float]:
+    """(L2, mixed, isotropic) error norms of the approximant that `bundle`
+    reconstructs; the approximant is dropped when they are read."""
+    approx = reconstruct(bundle)
+    return error_norms(u, approx, norm_rule(u, approx))
 
 
 def sweep_point(u: AnalyticFunction, method: str, gamma, param: int):
     """Build one approximant and return (l2, s, w, runtime_seconds)."""
     start = time.perf_counter()
-    approx = approximant(u, method, gamma, param)
-    l2, s, w = error_norms(u, approx, norm_rule(u, approx))
-    return l2, s, w, time.perf_counter() - start
+    (bundle,) = trace_bundles(u, method, [gamma], param).values()
+    return (*bundle_errors(u, bundle), time.perf_counter() - start)
 
 
 def _check_orders(u: AnalyticFunction, orders) -> list:
@@ -162,31 +178,45 @@ def run_sweep(u: AnalyticFunction, method: str, orders, params) -> dict:
     """Sweep the approximation parameter at every order in `orders` and
     return {order: SweepResult}.
 
-    Parameters are the outer loop: every order runs at one parameter before
-    the next parameter, and the orders' projections share their weighted
-    basis tables in one `shared_tables` block per parameter, so no table
-    outlives its parameter.  The runtime of the first order at a parameter
-    includes the shared table build.  Point failures are recorded and the
-    sweep continues with NaN entries.  A method, parameter list or order
-    that no point could run with is refused before any point runs."""
+    Parameters are the outer loop.  At each parameter one `trace_bundles`
+    call projects every order's traces; then each order's approximant is
+    reconstructed and its error norms read, one order at a time.  The
+    runtime of the first order at a parameter includes the shared
+    projection.  Failures are recorded and the sweep continues with NaN
+    entries: a failed projection for every order at that parameter, a
+    failed reconstruction or norm for its order alone.  A method, parameter
+    list or order that no point could run with is refused before any point
+    runs."""
     orders = _check_orders(u, orders)
     params = [int(p) for p in params]
     check_sweep(method, params)
 
     results = {g: SweepResult(list(params), [], [], [], []) for g in orders}
+
+    def record(result, row):
+        for column, value in zip((result.l2, result.s, result.w, result.runtime), row):
+            column.append(value)
+
+    def fail(result, param, exc):
+        result.failures.append((param, f"{type(exc).__name__}: {exc}"))
+        record(result, (math.nan,) * 4)
+
     for param in params:
-        with shared_tables():
-            for gamma, result in results.items():
-                try:
-                    row = sweep_point(u, method, gamma, param)
-                except Exception as exc:  # noqa: BLE001 - failures are data here
-                    result.failures.append((param, f"{type(exc).__name__}: {exc}"))
-                    row = (math.nan, math.nan, math.nan, math.nan)
-                l2, s, w, dt = row
-                result.l2.append(l2)
-                result.s.append(s)
-                result.w.append(w)
-                result.runtime.append(dt)
+        start = time.perf_counter()
+        try:
+            bundles = trace_bundles(u, method, orders, param)
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            for result in results.values():
+                fail(result, param, exc)
+            continue
+        for gamma, result in results.items():
+            try:
+                errors = bundle_errors(u, bundles.pop(gamma))
+            except Exception as exc:  # noqa: BLE001
+                fail(result, param, exc)
+            else:
+                record(result, (*errors, time.perf_counter() - start))
+            start = time.perf_counter()
     return results
 
 

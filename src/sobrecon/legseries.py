@@ -9,15 +9,17 @@ is constant, is the k-fold antiderivative there.  Values are produced by
 the upward three-term recurrence, which is backward stable on [-1, 1];
 nothing here ever forms a monomial representation, so degrees in the
 hundreds are safe.  The recurrence fills each row of the basis table in
-place, so a degree-256 table on a fig1 grid costs its own 43 MB and no
-temporaries.  Values are read on tensor grids only (``eval_grid``,
-``derivative_grids``): the coefficients are contracted with one basis table
-per axis by ``core.contract_axes``.  A grid read with ``derivative_grids``
-reuses these tables for every derivative order, and builds each order's
-coefficients once, by one derivative-matrix application to the stored
-coefficients of the next-lower order on the same prefix of axes.  Every
-coefficient axis has at least one entry; a 0-d series is a plain value (a
-vertex trace).
+place, so a table costs its own entries and no temporaries; the trace
+projection builds its tables on blocks of at most 2**20 entries (8 MB), so
+it never holds the 43 MB degree-256 table of fig1's finest grid whole.
+Values are read on tensor grids only (``eval_grid``,
+``derivative_grids``): the coefficients are contracted with one basis
+table per axis by ``core.contract_axes``.  A grid read with
+``derivative_grids`` reuses these tables for every derivative order, and
+builds each order's coefficients once, by one derivative-matrix
+application to the stored coefficients of the next-lower order on the
+same prefix of axes.  Every coefficient axis has at least one entry; a 0-d
+series is a plain value (a vertex trace).
 """
 
 from __future__ import annotations
@@ -84,10 +86,8 @@ def _antiderivative_matrix(n: int) -> np.ndarray:
 def _derivative_matrix(n: int) -> np.ndarray:
     """Orthonormal-coefficient map of d/dx, (max(n-1, 1), n)."""
     rows = max(n - 1, 1)
-    m = np.zeros((rows, n))
-    for k in range(1, n):
-        for j in range(k - 1, -1, -2):
-            m[j, k] = 2 * j + 1.0
+    j, k = np.arange(rows)[:, None], np.arange(n)
+    m = np.where((k > j) & ((k - j) % 2 == 1), 2 * j + 1.0, 0.0)
     return m * _scale(n)[None, :] / _scale(rows)[:, None]
 
 

@@ -235,6 +235,63 @@ class TestSweepByParameter:
         assert len(refs) == 2  # one per axis, shared by the traces
         assert all(r() is None for r in refs)
 
+    def test_tables_walk_fig1s_top_rules_in_blocks(self, monkeypatch):
+        # fig1's rules at degrees 128 and 256 have 10,880 and 21,120 nodes;
+        # their whole tables would be 1.4M and 5.4M entries
+        refs, built, real = [], [], projection.legendre_values
+
+        def tracked(size, x):
+            alive = sum(r() is not None for r in refs)
+            table = real(size, x)
+            built.append((size, table.size, alive))
+            refs.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(projection, "legendre_values", tracked)
+        sweeps = run_sweep(get_example("example1-1d"), "legendre", [(0,), (5,)], [128, 256])
+        assert not any(r.failures for r in sweeps.values())
+        assert all(entries <= 2**20 for _, entries, _ in built)
+        assert all(alive == 0 for _, _, alive in built)
+        widths = {size: sum(entries // (size + 1) for s, entries, _ in built if s == size)
+                  for size in (128, 256)}
+        assert widths == {128: 10_880, 256: 21_120}  # each node's column once
+        assert [s for s, _, _ in built].count(256) == 6  # ceil(21,120 / 4,080)
+
+    def test_failed_projection_fails_every_order_at_its_parameter(self, monkeypatch):
+        real = projection.legendre_values
+
+        def fail_at_8(size, x):
+            if size == 8:
+                raise RuntimeError("no table")
+            return real(size, x)
+
+        u = get_example("example1-1d")
+        clean = run_sweep(u, "legendre", [(0,), (3,)], [4, 16])
+        monkeypatch.setattr(projection, "legendre_values", fail_at_8)
+        sweeps = run_sweep(u, "legendre", [(0,), (3,)], [4, 8, 16])
+        for gamma, result in sweeps.items():
+            assert result.failures == [(8, "RuntimeError: no table")]
+            assert math.isnan(result.l2[1]) and math.isnan(result.runtime[1])
+            assert [result.l2[0], result.l2[2]] == clean[gamma].l2
+
+    def test_failed_reconstruction_fails_its_order_alone(self, monkeypatch):
+        real = bench.reconstruct
+
+        def fail_order_3(bundle):
+            if bundle.order == (3,):
+                raise RuntimeError("no sum")
+            return real(bundle)
+
+        u = get_example("example1-1d")
+        clean = run_sweep(u, "step", [(0,), (3,), (5,)], [4, 8])
+        monkeypatch.setattr(bench, "reconstruct", fail_order_3)
+        sweeps = run_sweep(u, "step", [(0,), (3,), (5,)], [4, 8])
+        assert sweeps[(3,)].failures == [(4, "RuntimeError: no sum"),
+                                         (8, "RuntimeError: no sum")]
+        assert all(math.isnan(v) for v in sweeps[(3,)].s)
+        for gamma in [(0,), (5,)]:
+            assert rows(sweeps[gamma]) == rows(clean[gamma])
+
     @pytest.mark.parametrize("orders, match", [
         ((0,), r"must be a sequence such as \(0,\), got \[0\]"),
         ([(0,), 1], r"must be a sequence such as \(0,\), got \[1\]"),
@@ -245,7 +302,7 @@ class TestSweepByParameter:
     def test_refuses_orders_before_any_point(self, orders, match, monkeypatch):
         def no_point(*args):
             raise AssertionError("a point ran")
-        monkeypatch.setattr(bench, "sweep_point", no_point)
+        monkeypatch.setattr(bench, "trace_bundles", no_point)
         with pytest.raises(ValueError, match=match):
             run_sweep(get_example("example1-1d"), "step", orders, [2, 4])
 

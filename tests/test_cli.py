@@ -177,14 +177,15 @@ class TestReproduceCommand:
     def test_failed_point_prints_every_criteria_line(self, tmp_path, capsys, monkeypatch):
         # one failed point in the slope window fails the slope rows that read
         # it, with fit_slope's reason; every other row is still printed
-        real = bench.sweep_point
+        real = bench.bundle_errors
 
-        def fail_at_64(u, method, gamma, param):
-            if gamma == (5,) and param == 64:
+        def fail_at_64(u, bundle):
+            # the top trace of a fig1 bundle has the sweep's Legendre degree
+            if bundle.order == (5,) and bundle.entries[(5,)].degree == (64,):
                 raise RuntimeError("no point")
-            return real(u, method, gamma, param)
+            return real(u, bundle)
 
-        monkeypatch.setattr(bench, "sweep_point", fail_at_64)
+        monkeypatch.setattr(bench, "bundle_errors", fail_at_64)
         code = main(["reproduce", "fig1", "--degrees", "16,32,64", "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 1
@@ -199,13 +200,14 @@ class TestReproduceCommand:
 
     def test_zero_first_error_prints_every_criteria_line(self, tmp_path, capsys, monkeypatch):
         # a hold row whose first error reads 0 fails alone; the others print
-        real = bench.sweep_point
+        real = bench.bundle_errors
 
-        def zero_s_at_2(u, method, gamma, param):
-            l2, s, w, dt = real(u, method, gamma, param)
-            return (l2, 0.0, w, dt) if gamma == (0,) and param == 2 else (l2, s, w, dt)
+        def zero_s_at_2(u, bundle):
+            l2, s, w = real(u, bundle)
+            at_2 = bundle.order == (0,) and bundle.entries[(0,)].degree == (2,)
+            return (l2, 0.0, w) if at_2 else (l2, s, w)
 
-        monkeypatch.setattr(bench, "sweep_point", zero_s_at_2)
+        monkeypatch.setattr(bench, "bundle_errors", zero_s_at_2)
         code = main(["reproduce", "fig1", "--degrees", "2,16,32,64", "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from sobrecon import legseries
 from sobrecon.analytic import AnalyticFunction
 from sobrecon.core import HyperRect, multiindex_range
 from sobrecon.legseries import LegendreSeries, legendre_values
@@ -82,6 +83,22 @@ def kernel_lift_ulps(c, k):
                  for l, a in enumerate(kernel_legendre(k))]
         err = max(abs(Decimal(float(g)) - e) for g, e in zip(got, exact))
         return float(err / max(abs(e) for e in exact) * 2**52)
+
+
+def loop_derivative_matrix(n):
+    """The orthonormal d/dx map entry by entry: P_k' = sum of (2j + 1) P_j
+    over j = k - 1, k - 3, ... >= 0."""
+    rows = max(n - 1, 1)
+    m = np.zeros((rows, n))
+    for k in range(1, n):
+        for j in range(k - 1, -1, -2):
+            m[j, k] = 2 * j + 1.0
+    return m * legseries._scale(n)[None, :] / legseries._scale(rows)[:, None]
+
+
+def test_derivative_matrix_matches_the_loop():
+    for n in range(1, 301):
+        assert np.array_equal(legseries._derivative_matrix(n), loop_derivative_matrix(n))
 
 
 class TestBasis:

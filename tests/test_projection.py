@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from sobrecon.analytic import AnalyticFunction
-from sobrecon.core import HyperRect, multiindex_range
+from sobrecon.core import HyperRect, contract_axes, multiindex_range
 from sobrecon.expansion import extract_traces_poly
-from sobrecon.legseries import LegendreSeries
+from sobrecon.legseries import LegendreSeries, legendre_values
 from sobrecon.piecewise import PiecewisePoly, coeff_distance
 from sobrecon.projection import (
     cell_edges,
+    legendre_trace_bundles,
     sobolev_project_legendre,
     sobolev_project_step,
+    step_trace_bundles,
 )
 from sobrecon.quadrature import (
     QuadratureRule,
@@ -297,6 +299,55 @@ def test_degree_256_projection_holds_one_basis_table():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * table_bytes
+
+
+#: fig1's Legendre rule at its top degree, before `rule_for` completes it.
+FIG1_TOP_RULE = QuadratureRule(nodes=264, panels=4)
+FIG1_ORDERS = [(0,), (1,), (3,), (5,)]
+
+
+@pytest.mark.parametrize("gamma", FIG1_ORDERS)
+def test_blocked_top_trace_matches_the_whole_table(gamma):
+    # the 21,120 nodes are read in six blocks of at most 4,080; the sum over
+    # blocks may round differently from one contraction with the whole
+    # table, by a few ulps of the sum of magnitudes
+    u = get_example("example1-1d")
+    (x,), (w,) = grid_quadrature(u.domain, rule_for(u, FIG1_TOP_RULE))
+    table = legendre_values(256, x) * w
+    g = u.boundary_trace(gamma, gamma).eval_grid([x])
+    whole = contract_axes(g, [table.T])
+    bound = 4 * np.finfo(float).eps * (np.abs(table) @ np.abs(g))
+    bundle = legendre_trace_bundles(u, [gamma], (256,), FIG1_TOP_RULE)[gamma]
+    assert np.all(np.abs(bundle.entries[gamma].coeffs - whole) <= bound)
+
+
+@pytest.mark.parametrize("project, size, rule", [
+    (legendre_trace_bundles, (256,), FIG1_TOP_RULE),
+    (step_trace_bundles, (256,), STEP_RULE),
+])
+def test_one_pass_matches_each_order_alone(project, size, rule):
+    # every trace is contracted by itself, so projecting the orders together
+    # changes no bit of any order's traces
+    u = get_example("example1-1d")
+    together = project(u, FIG1_ORDERS, size, rule)
+    assert list(together) == FIG1_ORDERS
+    for gamma in FIG1_ORDERS:
+        (alone,) = project(u, [gamma], size, rule).values()
+        for alpha, entry in alone.entries.items():
+            assert np.array_equal(together[gamma].entries[alpha].coeffs, entry.coeffs)
+
+
+def test_fig1s_top_projection_holds_one_table_block():
+    # one 2**20-entry block (8 MB) of the 257 x 21,120 table (43 MB) for
+    # all four orders
+    u = get_example("example1-1d")
+    tracemalloc.start()
+    try:
+        legendre_trace_bundles(u, FIG1_ORDERS, (256,), FIG1_TOP_RULE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 class TestSobolevStep:
