@@ -2,10 +2,12 @@
 
 Coefficients are stored in the orthonormal basis (each factor scaled by
 sqrt(k + 1/2)), so the L2 norm is the Euclidean coefficient norm.  All
-calculus is done as sparse linear maps on coefficients, exact in exact
-arithmetic and rounded in float (``antiderivative`` states its measured
-error); the expansion's kernel lift (x+1)^k/k! * f, along an axis where f
-is constant, is the k-fold antiderivative there.  Values are produced by
+calculus is done on coefficients in O(n) per axis line, with no matrix:
+d/dx is a suffix sum by parity and integration has two diagonals (Canuto,
+Hussaini, Quarteroni & Zang, *Spectral Methods*, 2006, §2.3), exact in
+exact arithmetic and rounded in float (``antiderivative`` states its
+measured error); the expansion's kernel lift (x+1)^k/k! * f, along an
+axis where f is constant, is the k-fold antiderivative there.  Values are produced by
 the upward three-term recurrence, which is backward stable on [-1, 1];
 nothing here ever forms a monomial representation, so degrees in the
 hundreds are safe.  The recurrence fills each row of the basis table in
@@ -16,28 +18,20 @@ Values are read on tensor grids only (``eval_grid``,
 ``derivative_grids``): the coefficients are contracted with one basis
 table per axis by ``core.contract_axes``.  A grid read with
 ``derivative_grids`` reuses these tables for every derivative order, and
-builds each order's coefficients once, by one derivative-matrix
-application to the stored coefficients of the next-lower order on the
-same prefix of axes.  Every coefficient axis has at least one entry; a 0-d
-series is a plain value (a vertex trace).
+builds each order's coefficients once, by one derivative along one axis
+of the stored coefficients of the next-lower order on the same prefix of
+axes.  Every coefficient axis has at least one entry; a 0-d series is a
+plain value (a vertex trace).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    HyperRect,
-    MultiIndex,
-    TraceFunction,
-    as_multiindex,
-    boundary_trace,
-    contract_axes,
-)
+from .core import HyperRect, MultiIndex, as_multiindex, contract_axes
 
 
 def _scale(n: int) -> np.ndarray:
@@ -70,30 +64,38 @@ def legendre_values(max_degree: int, x) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _antiderivative_matrix(n: int) -> np.ndarray:
-    """Orthonormal-coefficient map of integration from -1, (n+1, n)."""
-    m = np.zeros((n + 1, n))
-    m[0, 0] = 1.0
-    m[1, 0] = 1.0
-    for k in range(1, n):
-        m[k + 1, k] = 1.0 / (2 * k + 1)
-        m[k - 1, k] = -1.0 / (2 * k + 1)
-    return m * _scale(n)[None, :] / _scale(n + 1)[:, None]
+def _derivative(coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx along one axis, O(n) per line.  With r_k = sqrt(2k + 1), the
+    orthonormal map is D[j, k] = r_j r_k for k = j+1, j+3, ... (P_k' sums
+    (2j+1) P_j over those j), so coefficient j of the derivative is r_j times
+    the parity suffix sum of r_k c_k: one reversed cumsum per parity.  A
+    one-coefficient axis (a constant) gives one zero."""
+    c = np.moveaxis(coeffs, axis, -1)
+    n = c.shape[-1]
+    if n == 1:
+        return np.zeros_like(coeffs)
+    r = np.sqrt(2.0 * np.arange(n) + 1)
+    s = c * r
+    for p in (0, 1):  # s_k becomes r_k c_k + r_(k+2) c_(k+2) + ...
+        s[..., p::2] = np.cumsum(s[..., p::2][..., ::-1], axis=-1)[..., ::-1]
+    return np.moveaxis(s[..., 1:] * r[:-1], -1, axis)
 
 
-@lru_cache(maxsize=None)
-def _derivative_matrix(n: int) -> np.ndarray:
-    """Orthonormal-coefficient map of d/dx, (max(n-1, 1), n)."""
-    rows = max(n - 1, 1)
-    j, k = np.arange(rows)[:, None], np.arange(n)
-    m = np.where((k > j) & ((k - j) % 2 == 1), 2 * j + 1.0, 0.0)
-    return m * _scale(n)[None, :] / _scale(rows)[:, None]
-
-
-def _apply_axis(coeffs: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(matrix, coeffs, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _antiderivative(coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Integration from -1 along one axis, O(n) per line: the integral of P_k
+    is (P_(k+1) - P_(k-1)) / (2k+1), and P_0 + P_1 for k = 0.  With b_k =
+    c_k / r_k, coefficient j of the result is (b_(j-1) - b_(j+1)) / r_j, and
+    (b_0 - b_1) / r_0 at j = 0: two diagonals."""
+    c = np.moveaxis(coeffs, axis, -1)
+    n = c.shape[-1]
+    r = np.sqrt(2.0 * np.arange(n + 1) + 1)
+    b = c / r[:-1]
+    out = np.zeros(c.shape[:-1] + (n + 1,))
+    out[..., 1:] = b
+    out[..., :-2] -= b[..., 1:]
+    out[..., 0] += b[..., 0]
+    out /= r
+    return np.moveaxis(out, -1, axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +137,9 @@ class LegendreSeries:
         lower-degree derivative.
 
         The coefficients of D^alpha are those of its predecessor (alpha with
-        its last nonzero entry lowered by one) with one more derivative
-        matrix applied, as ``mixed_derivative`` makes them, so each is built
-        once per call from the stored predecessor."""
+        its last nonzero entry lowered by one) differentiated once more along
+        that axis, so each is built once per call from the stored
+        predecessor, axis 0 first."""
         nd = self.ndim
         if len(axes) != nd:
             raise ValueError(f"expected {nd} axis arrays")
@@ -156,7 +158,7 @@ class LegendreSeries:
                 alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
             coeffs = derivs[alpha]
             for alpha, i in reversed(chain):
-                coeffs = _apply_axis(coeffs, _derivative_matrix(coeffs.shape[i]), i)
+                coeffs = _derivative(coeffs, i)
                 derivs[alpha] = coeffs
             yield contract_axes(coeffs, [t[:n] for t, n in zip(tables, coeffs.shape)])
 
@@ -169,40 +171,18 @@ class LegendreSeries:
         """`times`-fold integration from the lower boundary -1 along one axis;
         zero folds return this series.
 
-        Each fold applies a two-diagonal map with rounded entries, and the
-        folds cancel: on a constant c (the kernel lift c (x+1)^k/k!), the
-        worst coefficient error over 201 values of c, in ulps of the largest
-        exact coefficient, was 0.61, 1.11, 3.46, 8.14, 16.4 and 31.3 for k =
-        1..6, about twice as large per fold from k = 3
-        (tests/test_legseries.py checks it against exact coefficients)."""
+        Each fold is a two-diagonal map with rounded factors, and the folds
+        cancel: on a constant c (the kernel lift c (x+1)^k/k!), the worst
+        coefficient error over 201 values of c, in ulps of the largest exact
+        coefficient, was 0.42, 1.10, 3.44, 6.30, 12.1 and 23.4 for k = 1..6,
+        about twice as large per fold from k = 3 (tests/test_legseries.py
+        checks it against exact coefficients)."""
         if times < 0:
             raise ValueError(f"fold count must be non-negative, got times={times}")
         out = self
         for _ in range(times):
-            n = out.coeffs.shape[axis]
-            out = LegendreSeries(_apply_axis(out.coeffs, _antiderivative_matrix(n), axis))
+            out = LegendreSeries(_antiderivative(out.coeffs, axis))
         return out
-
-    def derivative(self, axis: int, order: int = 1) -> "LegendreSeries":
-        if order < 0:
-            raise ValueError(f"derivative order must be non-negative, got {order}")
-        out = self.coeffs
-        for _ in range(order):
-            out = _apply_axis(out, _derivative_matrix(out.shape[axis]), axis)
-        return LegendreSeries(out)
-
-    def mixed_derivative(self, alpha) -> "LegendreSeries":
-        out = self
-        for i, a in enumerate(as_multiindex(alpha, ndim=self.ndim)):
-            out = out.derivative(i, a)
-        return out
-
-    def derivative_grid(self, alpha, axes) -> np.ndarray:
-        return next(self.derivative_grids([alpha], axes))
-
-    def boundary_trace(self, alpha, order) -> TraceFunction:
-        """Trace of D^alpha on the face it lives on in an order-`order` expansion."""
-        return boundary_trace(self, alpha, order)
 
     # -------------------------------------------------------------- algebra
 
@@ -226,9 +206,6 @@ class LegendreSeries:
         if not np.isscalar(scalar):
             return NotImplemented
         return LegendreSeries(float(scalar) * self.coeffs)
-
-    def __mul__(self, scalar):
-        return self.__rmul__(scalar)
 
     def extend(self, positions: tuple[int, ...], ndim: int) -> "LegendreSeries":
         """Embed into `ndim` axes: this series varies on `positions`, the new

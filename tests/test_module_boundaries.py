@@ -6,7 +6,8 @@ call or builds its spec at run time, every name in `sobrecon.__all__`
 exists, every sobrecon name the benchmark's tracer wraps is still there, the
 coefficient algebra (`piecewise`, `legseries`) imports nothing from
 `quadrature`, a trace is lifted along an axis only by its a-fold
-antiderivative, and every error norm is read by `error_components` alone.
+antiderivative, every error norm is read by `error_components` alone, and
+the Legendre calculus keeps no cached maps and applies no dense one.
 
 Defining private names is fine; importing one from a sibling module, or
 reading one as an attribute of a sibling module, is not.
@@ -214,6 +215,51 @@ def test_contract_caller_detector():
         "        return contract_axes(self, w)\n"
     )
     assert contract_callers(source) == ["integrate", "dc_error"]
+
+
+def dense_calculus(source: str) -> list[str]:
+    """`decorator name (line n)` for each function or class of `source`
+    decorated with lru_cache or cache, called or not, by name or attribute,
+    and `tensordot call (line n)` for each call of tensordot."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += [f"{node.name} @{name(d)} (line {d.lineno})" for d in node.decorator_list
+                      if name(d) in ("lru_cache", "cache")]
+        elif isinstance(node, ast.Call) and name(node) == "tensordot":
+            found.append(f"tensordot call (line {node.lineno})")
+    return found
+
+
+def test_legendre_calculus_has_no_dense_maps():
+    # d/dx is a parity suffix sum and integration has two diagonals, O(n)
+    # per axis line: no cache of dense matrices, no O(n^2) tensordot with one
+    assert dense_calculus((PACKAGE / "legseries.py").read_text()) == []
+
+
+def test_dense_calculus_detector():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(n):\n"
+        "    return np.tensordot(m, x, axes=1)\n"
+        "@functools.cache\n"
+        "def b(n):\n"
+        "    return tensordot(m, x)\n"
+        "@cache\n"
+        "class C:\n"
+        "    @staticmethod\n"
+        "    def d(x):\n"
+        "        return np.cumsum(x)\n"
+    )
+    assert sorted(dense_calculus(source)) == [
+        "C @cache (line 9)", "a @lru_cache (line 3)", "b @cache (line 6)",
+        "tensordot call (line 5)", "tensordot call (line 8)"]
 
 
 def quadrature_imports(source: str) -> list[int]:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from sobrecon.analytic import AnalyticFunction
-from sobrecon.core import HyperRect, contract_axes, multiindex_range
+from sobrecon.core import HyperRect, boundary_trace, contract_axes, multiindex_range
 from sobrecon.expansion import extract_traces_poly
-from sobrecon.legseries import LegendreSeries, legendre_values
+from sobrecon.legseries import LegendreSeries, _derivative, legendre_values
 from sobrecon.piecewise import PiecewisePoly, coeff_distance
 from sobrecon.projection import (
     cell_edges,
@@ -152,7 +152,7 @@ class TestSobolevLegendre:
         rule = rule_for(u, QuadratureRule(nodes=24, panels=4))  # same splits on both axes
         recon = sobolev_project_legendre(u, gamma, degree, rule)
         for alpha in multiindex_range(gamma):
-            face = recon.boundary_trace(alpha, gamma)
+            face = boundary_trace(recon, alpha, gamma)
             t = u.boundary_trace(alpha, gamma)
             assert face.face == t.face
             if not t.active:
@@ -174,8 +174,8 @@ class TestSobolevLegendre:
         recon = sobolev_project_legendre(u, (2, 2), (3, 3), legendre_rule((3, 3)))
         pw = u.derivatives[(0, 0)]
         xs = np.linspace(-1, 1, 8)
-        for alpha in [(0, 0), (1, 0), (2, 2), (3, 3)]:
-            got = recon.derivative_grid(alpha, [xs, xs])
+        indices = [(0, 0), (1, 0), (2, 2), (3, 3)]
+        for alpha, got in zip(indices, recon.derivative_grids(indices, [xs, xs])):
             want = pw.derivative_grid(alpha, [xs, xs])
             assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
 
@@ -193,22 +193,25 @@ class TestSobolevLegendre:
         derivative maps A, D, so D^gamma A^gamma T = T.  The coefficients of
         the approximant at indices >= gamma are those of the top term alone
         (the others add exact zeros there), and output index j of D^gamma
-        reads only input indices >= j + gamma, so the computed result is
-        fl(D^gamma fl(A^gamma T)).  Per axis, the operations run as all A
-        steps (axis 0 first), then all D steps (axis 0 first).
+        reads only input indices >= j + gamma (each suffix sum runs down
+        from the top index), so the computed result is fl(D^gamma
+        fl(A^gamma T)).  Per axis, the operations run as all A steps (axis 0
+        first), then all D steps (axis 0 first).
 
-        One step y = M x with m nonzeros per row of M and stored entries
-        within c u of exact (u the unit roundoff) errs by at most
-        (m + c) u |M| |x| to first order, for any summation order.  A has
-        m = 2 and c = 5 (1/(2k+1), two square roots, a product and a
-        quotient); D has m <= ceil(n/2) on n input coefficients and c = 4.
-        An error made at one step passes exactly through the later steps;
-        on axis i they amount to D^p with p = (later D steps) - (later A
-        steps) on that axis, because D A = I.  D has nonnegative entries,
-        so |D^p| = D^p.  Summing over the steps, with x the computed input
-        of each step,
+        Both maps compute y = M x row by row as y_j = g_j sum_k h_k x_k over
+        the m nonzeros of row j, with r_k = sqrt(2k + 1): A has g_j = 1/r_j,
+        h_k = +-1/r_k and m = 2; D has g_j = r_j, h_k = r_k and m <=
+        ceil(n/2) on n input coefficients (one reversed cumsum per parity).
+        Each factor is a rounded square root, applied by one rounded product
+        or quotient, so the two factors of a term cost 2 + 2 roundings, and
+        the sum of m terms m - 1 in any order: a step errs by at most
+        (m + 3) u |M| |x| to first order (u the unit roundoff).  An error
+        made at one step passes exactly through the later steps; on axis i
+        they amount to D^p with p = (later D steps) - (later A steps) on
+        that axis, because D A = I.  D has nonnegative entries, so |D^p| =
+        D^p.  Summing over the steps, with x the computed input of each step,
 
-            |computed - T| <= sum_steps (m + c) u D^p (|M| |x|)
+            |computed - T| <= sum_steps (m + 3) u D^p (|M| |x|)
 
         entry by entry, to first order in u.
         """
@@ -220,22 +223,26 @@ class TestSobolevLegendre:
         top_trace = AnalyticFunction(u.domain, zero, {zero: u.derivatives[gamma]},
                                      u.breakpoints, u.singular_points)
         top = sobolev_project_legendre(top_trace, zero, degrees, rule).coeffs
-        got = recon.mixed_derivative(gamma).coeffs
+        got = recon.coeffs
+        for axis, g in enumerate(gamma):
+            for _ in range(g):
+                got = _derivative(got, axis)
         assert got.shape == top.shape
 
         def along(matrix, x, axis):
             return np.moveaxis(np.tensordot(matrix, x, axes=([1], [axis])), 0, axis)
 
-        def matrix(kind, n):  # the stored map, read off the unit vectors
-            eye = LegendreSeries(np.eye(n))
-            return (eye.antiderivative(0) if kind == "A" else eye.derivative(0)).coeffs
+        def matrix(kind, n):  # the map, read off the unit vectors
+            if kind == "A":
+                return LegendreSeries(np.eye(n)).antiderivative(0).coeffs
+            return _derivative(np.eye(n), 0)
 
         steps = [(kind, i) for kind in "AD" for i, g in enumerate(gamma) for _ in range(g)]
         x, bound = top, np.zeros(top.shape)
         for s, (kind, axis) in enumerate(steps):
             n = x.shape[axis]
             m = matrix(kind, n)
-            err = ((2 + 5) if kind == "A" else (-(-n // 2) + 4)) * np.finfo(float).eps / 2
+            err = ((2 if kind == "A" else -(-n // 2)) + 3) * np.finfo(float).eps / 2
             err = err * along(np.abs(m), np.abs(x), axis)
             for i in range(len(gamma)):
                 later = [k for k, a in steps[s + 1:] if a == i]

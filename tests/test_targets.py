@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from sobrecon.analytic import AnalyticFunction
-from sobrecon.core import active_axes, as_multiindex, face_spec, multiindex_range
+from sobrecon.core import active_axes, as_multiindex, boundary_trace, face_spec, multiindex_range
 from sobrecon.expansion import term_at_point
 from sobrecon.projection import sobolev_project_legendre
 from sobrecon.quadrature import QuadratureRule, rule_for
@@ -239,7 +239,7 @@ class TestTraces:
                 want[index] = u.derivatives[alpha](*point)
             scale = np.abs(want).max()
             for f in (u, pw, series):
-                got = f.boundary_trace(alpha, delta).eval_grid(grid)
+                got = boundary_trace(f, alpha, delta).eval_grid(grid)
                 assert got.shape == want.shape, (type(f).__name__, alpha)
                 assert np.abs(got - want).max() <= 1e-11 * scale, (type(f).__name__, alpha)
 
